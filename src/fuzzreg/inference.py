@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyRuleBase, ValidationError
-from .membership import FuzzySet, LinguisticVariable, _readonly
+from .membership import FuzzySet, LinguisticVariable, _count, _readonly
 
 
 def _grades(values) -> np.ndarray:
@@ -108,12 +108,7 @@ class Rule:
 
     def __post_init__(self) -> None:
         for name in ("antecedent", "consequent"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or value != int(value):
-                raise ValidationError(f"rule {name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-            if getattr(self, name) < 0:
-                raise ValidationError(f"rule {name} must be non-negative, got {value}")
+            object.__setattr__(self, name, _count(getattr(self, name), f"rule {name}", 0))
 
 
 @dataclass(frozen=True)

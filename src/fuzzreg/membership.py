@@ -9,11 +9,12 @@ callable: ``mf(x)`` returns the membership grade of ``x`` in ``[0, 1]``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidUniverse, NonFiniteInput, ValidationError
+from .errors import FuzzyError, InvalidUniverse, NonFiniteInput, ValidationError
 
 
 def _readonly(values) -> np.ndarray:
@@ -22,31 +23,49 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
+def _count(value, what: str, minimum: int, error: type[FuzzyError] = ValidationError) -> int:
+    """``value`` as an ``int`` if it is a whole number of at least
+    ``minimum``; anything else (bools, strings, NaN, infinities, fractions)
+    raises ``error``."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            n = int(value)
+        except (OverflowError, ValueError):
+            pass
+        else:
+            if n == value and n >= minimum:
+                return n
+    raise error(f"{what} must be a whole number >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Universe:
     """Uniformly sampled base set of a linguistic variable.
 
     ``points`` is derived: ``n`` samples evenly spaced from ``min`` to
-    ``max`` inclusive.
+    ``max`` inclusive. ``offsets`` holds the same samples as fractions of
+    the span, evenly spaced over ``[0, 1]``; center of gravity works on them
+    so that its sums cannot overflow.
     """
 
     min: float
     max: float
     n: int
     points: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "min", float(self.min))
         object.__setattr__(self, "max", float(self.max))
-        if self.n != int(self.n):
-            raise InvalidUniverse(f"sample count must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _count(self.n, "sample count", 2, InvalidUniverse))
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise InvalidUniverse("universe bounds must be finite")
         if not self.min < self.max:
             raise InvalidUniverse(f"need min < max, got [{self.min}, {self.max}]")
-        if self.n < 2:
-            raise InvalidUniverse(f"need at least 2 samples, got {self.n}")
+        if not math.isfinite(self.span):
+            raise InvalidUniverse(
+                f"span of [{self.min}, {self.max}] overflows; use a narrower range"
+            )
         pts = np.linspace(self.min, self.max, self.n)
         diffs = np.diff(pts)
         if not np.all(diffs > 0.0):
@@ -60,10 +79,16 @@ class Universe:
                 f"magnitude for a uniform grid"
             )
         object.__setattr__(self, "points", _readonly(pts))
+        object.__setattr__(self, "offsets", _readonly(np.linspace(0.0, 1.0, self.n)))
+
+    @property
+    def span(self) -> float:
+        return self.max - self.min
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.min + self.max)
+        # halving is exact, so this is 0.5 * (min + max) without its overflow
+        return 0.5 * self.min + 0.5 * self.max
 
     def clamp(self, x: float) -> float:
         """Saturate a crisp value to the universe bounds."""
@@ -78,12 +103,45 @@ class Universe:
         return hash((self.min, self.max, self.n))
 
 
+def _ramps(xs, a: float, b: float, c: float, d: float) -> np.ndarray:
+    """Grades of the trapezoid with feet ``a``, ``d`` and plateau ``[b, c]``
+    at every point of ``xs``, from the ramp expressions the scalar forms use.
+
+    A vertical edge divides by zero (``±inf``, or NaN at the edge itself)
+    and an open side of ``±inf`` gives NaN; ``fmin`` takes the other ramp
+    wherever one is NaN, and the clip saturates the rest.
+    """
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(all="ignore"):
+        rising = (xs - a) / (b - a)
+        falling = (d - xs) / (d - c)
+        np.fmin(rising, falling, out=rising)
+        return np.clip(rising, 0.0, 1.0, out=rising)
+
+
 class MembershipFunction:
     """Base class of the five shape families. Instances are callable and
-    total over the reals: any ``x`` maps to a grade in ``[0, 1]``."""
+    total over the reals: any ``x`` maps to a grade in ``[0, 1]``.
+
+    ``mf(x)`` grades one point and ``mf.sample(xs)`` a whole array of
+    points; the two agree bit for bit at every point. A subclass defines
+    ``__call__`` and ``support``; the five shapes also override ``sample``
+    with array arithmetic, and an override must keep that agreement and
+    stay inside ``[0, 1]``, since its grades are used unchecked.
+    """
 
     def __call__(self, x: float) -> float:
         raise NotImplementedError
+
+    def sample(self, xs) -> np.ndarray:
+        """Grades at every point of ``xs``, as a new float array.
+
+        This default calls ``mf(x)`` once per point and rejects any grade
+        outside ``[0, 1]``."""
+        grades = np.array([self(x) for x in np.asarray(xs, dtype=float).tolist()], dtype=float)
+        if not np.all((grades >= 0.0) & (grades <= 1.0)):
+            raise ValidationError(f"{type(self).__name__} grades must lie in [0, 1]")
+        return grades
 
     def support(self) -> tuple[float, float]:
         """Closure of ``{x : grade(x) > 0}`` as an interval; infinite ends
@@ -99,7 +157,16 @@ class MembershipFunction:
                 )
             if not math.isfinite(float(value)):
                 raise ValidationError(f"{type(self).__name__}.{name} must be finite")
-            object.__setattr__(self, name, float(value))
+            # + 0.0 turns -0.0 into 0.0: a vertical edge from 0.0 to -0.0
+            # would divide by -0.0 and flip the sign of its ramp
+            object.__setattr__(self, name, float(value) + 0.0)
+
+    def _check_width(self, lo: float, hi: float) -> None:
+        # a ramp across an overflowing width would divide by infinity
+        if not math.isfinite(hi - lo):
+            raise ValidationError(
+                f"{type(self).__name__} support width {hi} - ({lo}) overflows"
+            )
 
 
 @dataclass(frozen=True)
@@ -120,6 +187,7 @@ class Triangular(MembershipFunction):
             )
         if not self.a < self.c:
             raise ValidationError("triangular support must have positive width (a < c)")
+        self._check_width(self.a, self.c)
 
     def __call__(self, x: float) -> float:
         if x == self.b:
@@ -129,6 +197,9 @@ class Triangular(MembershipFunction):
         if x < self.b:
             return (x - self.a) / (self.b - self.a)
         return (self.c - x) / (self.c - self.b)
+
+    def sample(self, xs) -> np.ndarray:
+        return _ramps(xs, self.a, self.b, self.b, self.c)
 
     def support(self) -> tuple[float, float]:
         return (self.a, self.c)
@@ -152,6 +223,7 @@ class Trapezoidal(MembershipFunction):
             )
         if not self.a < self.d:
             raise ValidationError("trapezoidal support must have positive width (a < d)")
+        self._check_width(self.a, self.d)
 
     def __call__(self, x: float) -> float:
         if self.b <= x <= self.c:
@@ -162,13 +234,20 @@ class Trapezoidal(MembershipFunction):
             return (x - self.a) / (self.b - self.a)
         return (self.d - x) / (self.d - self.c)
 
+    def sample(self, xs) -> np.ndarray:
+        return _ramps(xs, self.a, self.b, self.c, self.d)
+
     def support(self) -> tuple[float, float]:
         return (self.a, self.d)
 
 
 @dataclass(frozen=True)
 class Gaussian(MembershipFunction):
-    """Bell curve ``exp(-(x - center)^2 / (2 sigma^2))``; never reaches zero."""
+    """Bell curve ``exp(-(x - center)^2 / (2 sigma^2))``; never reaches zero.
+
+    Both forms use numpy's ``exp``: ``math.exp`` rounds differently on a
+    few percent of arguments.
+    """
 
     center: float
     sigma: float
@@ -180,7 +259,12 @@ class Gaussian(MembershipFunction):
 
     def __call__(self, x: float) -> float:
         z = (x - self.center) / self.sigma
-        return math.exp(-0.5 * z * z)
+        return float(np.exp(-0.5 * z * z))
+
+    def sample(self, xs) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            z = (np.asarray(xs, dtype=float) - self.center) / self.sigma
+            return np.exp(-0.5 * z * z)
 
     def support(self) -> tuple[float, float]:
         return (-math.inf, math.inf)
@@ -197,6 +281,7 @@ class ZShoulder(MembershipFunction):
         self._coerce("a", "b")
         if not self.a < self.b:
             raise ValidationError(f"shoulder needs a < b, got ({self.a}, {self.b})")
+        self._check_width(self.a, self.b)
 
     def __call__(self, x: float) -> float:
         if x <= self.a:
@@ -204,6 +289,9 @@ class ZShoulder(MembershipFunction):
         if x >= self.b:
             return 0.0
         return (self.b - x) / (self.b - self.a)
+
+    def sample(self, xs) -> np.ndarray:
+        return _ramps(xs, -math.inf, -math.inf, self.a, self.b)
 
     def support(self) -> tuple[float, float]:
         return (-math.inf, self.b)
@@ -220,6 +308,7 @@ class SShoulder(MembershipFunction):
         self._coerce("a", "b")
         if not self.a < self.b:
             raise ValidationError(f"shoulder needs a < b, got ({self.a}, {self.b})")
+        self._check_width(self.a, self.b)
 
     def __call__(self, x: float) -> float:
         if x <= self.a:
@@ -227,6 +316,9 @@ class SShoulder(MembershipFunction):
         if x >= self.b:
             return 1.0
         return (x - self.a) / (self.b - self.a)
+
+    def sample(self, xs) -> np.ndarray:
+        return _ramps(xs, self.a, self.b, math.inf, math.inf)
 
     def support(self) -> tuple[float, float]:
         return (self.a, math.inf)
@@ -310,6 +402,16 @@ class FuzzySet:
             raise ValidationError("grades must lie in [0, 1]")
         object.__setattr__(self, "grades", g)
 
+    @classmethod
+    def _trusted(cls, universe: Universe, grades: np.ndarray) -> FuzzySet:
+        """Wrap a grade vector the library computed itself, of the right
+        length and inside ``[0, 1]`` by construction: no copy, no check."""
+        fset = object.__new__(cls)
+        grades.setflags(write=False)
+        object.__setattr__(fset, "universe", universe)
+        object.__setattr__(fset, "grades", grades)
+        return fset
+
     def __len__(self) -> int:
         return self.universe.n
 
@@ -330,7 +432,7 @@ class FuzzySet:
 
 def discretize(mf: MembershipFunction, universe: Universe) -> FuzzySet:
     """Sample a membership function over a universe's points."""
-    return FuzzySet(universe, [mf(float(p)) for p in universe.points])
+    return FuzzySet._trusted(universe, mf.sample(universe.points))
 
 
 def singleton_fuzzify(x0: float, var: LinguisticVariable) -> np.ndarray:
