@@ -23,6 +23,11 @@ Parameter counts per shape: triangular 3 (a <= b <= c), trapezoidal 4
 (a <= b <= c <= d), gaussian 2 (center, sigma > 0), zshoulder/sshoulder 2
 (a < b). Every structural problem is reported with the path of the
 offending field.
+
+Documents are read with libyaml when PyYAML was built with it, and with
+PyYAML's pure-Python reader otherwise; either way a repeated mapping key
+and collections nested deeper than ``MAX_DEPTH`` are rejected as
+:class:`ParseError` before any field is validated.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from dataclasses import fields
 from pathlib import Path
 
 import yaml
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError
+from yaml.events import CollectionEndEvent, CollectionStartEvent
 
 from .errors import InvalidUniverse, ParseError, ValidationError
 from .inference import Rule, RuleBase
@@ -57,6 +65,92 @@ MF_TYPES: dict[str, type[MembershipFunction]] = {
 }
 
 _MF_NAMES = {cls: name for name, cls in MF_TYPES.items()}
+
+# libyaml's classes when PyYAML was built with it, the pure-Python ones otherwise
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_SafeDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+MAX_DEPTH = 32
+"""Deepest collection nesting a document may use; a controller needs 5
+(document, variable, term list, term, parameter list)."""
+
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _DocumentLoader(_SafeLoader):
+    """PyYAML's safe loader, with bounded nesting and no repeated keys.
+
+    libyaml composes nodes by recursing in C, so a document nested a few
+    thousand levels deep overflows the C stack. :meth:`load` therefore
+    walks the parse events once, counting open collections, and composes
+    only a document that stays within ``MAX_DEPTH``.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._key_checked: set = set()
+
+    @classmethod
+    def load(cls, text: str):
+        probe = cls(text)
+        try:
+            probe._check_depth()
+        finally:
+            probe.dispose()
+        loader = cls(text)
+        try:
+            return loader.get_single_data()
+        finally:
+            loader.dispose()
+
+    def _check_depth(self) -> None:
+        depth = 0
+        while self.check_event():
+            event = self.get_event()
+            if isinstance(event, CollectionStartEvent):
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise ComposerError(
+                        None, None,
+                        f"collections nested deeper than {MAX_DEPTH} levels",
+                        event.start_mark,
+                    )
+            elif isinstance(event, CollectionEndEvent):
+                depth -= 1
+
+    def construct_object(self, node, deep=False):
+        # the scalar constructors let int(), float(), date() and the bool
+        # table raise their own errors, e.g. for '!!int x' or '2001-13-01'
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, KeyError, OverflowError) as exc:
+            raise ConstructorError(
+                None, None, f"cannot read {node.tag} value: {exc}", node.start_mark
+            ) from None
+
+    def flatten_mapping(self, node):
+        # Flattening rewrites node.value to hold the merged pairs too, which
+        # may repeat a key on purpose, and a node merged into another one is
+        # flattened again; so a node's keys are checked on its first
+        # flattening only, while node.value still holds what was written.
+        if node not in self._key_checked:
+            self._key_checked.add(node)
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == _MERGE_TAG:
+                    continue
+                key = self.construct_object(key_node, deep=True)
+                try:
+                    repeated = key in seen
+                    seen.add(key)
+                except TypeError:  # unhashable; construct_mapping reports it
+                    continue
+                if repeated:
+                    raise ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark,
+                    )
+        super().flatten_mapping(node)
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -171,13 +265,14 @@ _TOP_KEYS = {"input", "output", "rules", "defuzzification", "zero_mass", "output
 def parse_config(document: str) -> Regulator:
     """Build a fully validated regulator from a controller document.
 
-    Raises :class:`ParseError` when the document is not valid YAML and
+    Raises :class:`ParseError` when the document is not valid YAML, repeats
+    a mapping key or nests deeper than ``MAX_DEPTH``, and
     :class:`ValidationError` (naming the offending path) when it is
     well-formed but violates an invariant.
     """
     try:
-        doc = yaml.safe_load(document)
-    except yaml.YAMLError as exc:
+        doc = _DocumentLoader.load(document)
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml encodes str to UTF-8
         raise ParseError(f"not a valid controller document: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(
@@ -227,8 +322,12 @@ def parse_config(document: str) -> Regulator:
 
 
 def load_config(path) -> Regulator:
-    """Read and parse a controller file."""
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a controller file, which must be UTF-8 text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_config(text)
 
 
 def _variable_doc(var: LinguisticVariable) -> dict:
@@ -265,7 +364,7 @@ def serialize_config(reg: Regulator) -> str:
         "zero_mass": reg.zero_mass_policy.value,
         "output_resolution": reg.output_resolution,
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    return yaml.dump(doc, Dumper=_SafeDumper, sort_keys=False, default_flow_style=False)
 
 
 def reference_config_path() -> Path:

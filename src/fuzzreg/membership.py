@@ -329,6 +329,15 @@ def mf_parameters(mf: MembershipFunction) -> list[float]:
     return [getattr(mf, f.name) for f in fields(mf)]
 
 
+def _check_name(name, what: str) -> None:
+    if not isinstance(name, str) or not name:
+        raise ValidationError(f"{what} name must be a non-empty string")
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which libyaml cannot write
+        raise ValidationError(f"{what} name {name!r} is not valid Unicode text") from None
+
+
 @dataclass(frozen=True)
 class LinguisticTerm:
     """One qualitative label of a variable, e.g. ``"TM"`` for medium."""
@@ -337,8 +346,7 @@ class LinguisticTerm:
     mf: MembershipFunction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ValidationError("term name must be a non-empty string")
+        _check_name(self.name, "term")
         if not isinstance(self.mf, MembershipFunction):
             raise ValidationError(
                 f"term {self.name!r} needs a membership function, got {self.mf!r}"
@@ -354,8 +362,7 @@ class LinguisticVariable:
     terms: tuple[LinguisticTerm, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ValidationError("variable name must be a non-empty string")
+        _check_name(self.name, "variable")
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValidationError(f"variable {self.name!r} needs at least one term")

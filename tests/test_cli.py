@@ -212,6 +212,12 @@ class TestCheck:
         assert cli_main(["check", "--config", str(tmp_path / "nope.yaml")]) == 1
         capsys.readouterr()
 
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.yaml"
+        bad.write_bytes(GAP_CONFIG.replace("name: x", "name: caf\xe9").encode("latin-1"))
+        assert cli_main(["check", "--config", str(bad)]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

@@ -1,10 +1,32 @@
-"""Controller document parsing, validation diagnostics and round-trips."""
+"""Controller document parsing, validation diagnostics and round-trips,
+and the YAML loader's rules: duplicate keys, bounded nesting, and
+properties over arbitrary input.
+
+``yaml.safe_load`` (PyYAML's pure-Python loader) stays the oracle for what
+a document means; the fuzzreg loader must return exactly the same tree for
+every document it accepts.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fuzzreg import (
+    LinguisticTerm,
+    LinguisticVariable,
     ParseError,
     Regulator,
+    Rule,
+    RuleBase,
+    Triangular,
+    Universe,
     ValidationError,
     ZeroMassPolicy,
     load_config,
@@ -13,6 +35,8 @@ from fuzzreg import (
     reference_regulator,
     serialize_config,
 )
+from fuzzreg import config as config_module
+from fuzzreg.config import MAX_DEPTH, _DocumentLoader
 
 MINIMAL = """
 input:
@@ -169,3 +193,276 @@ class TestValidationDiagnostics:
                            "{name: lo, type: zshoulder, params: [2.0, much]}"})
         with pytest.raises(ValidationError, match=r"input\.terms\[0\]\.params\[1\]"):
             parse_config(text)
+
+
+# --- the YAML loader ---------------------------------------------------------
+
+SRC = str(Path(config_module.__file__).resolve().parents[1])
+
+# the three ways to nest: flow sequences, block sequences, flow mappings
+NESTINGS = {
+    "flow_sequence": lambda n: "[" * n + "]" * n,
+    "block_sequence": lambda n: "- " * n + "x",
+    "flow_mapping": lambda n: "{a: " * n + "b" + "}" * n,
+}
+
+
+def run_child(code: str, hide_libyaml: bool = False) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports fuzzreg from this
+    checkout; with ``hide_libyaml`` PyYAML looks as if built without it."""
+    prelude = "import yaml\n"
+    if hide_libyaml:
+        prelude += "del yaml.CSafeLoader, yaml.CSafeDumper\n"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", prelude + textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestYamlBackend:
+    def test_libyaml_is_used_when_present(self):
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML was built without libyaml")
+        assert issubclass(_DocumentLoader, yaml.CSafeLoader)
+        assert config_module._SafeDumper is yaml.CSafeDumper
+
+
+class TestDuplicateKeys:
+    def test_top_level_key(self):
+        with pytest.raises(ParseError, match=r"duplicate key 'zero_mass'(.|\n)*line 20"):
+            parse_config(MINIMAL + "zero_mass: error\nzero_mass: midpoint\n")
+
+    def test_key_inside_a_term(self):
+        text = MINIMAL.replace("{name: big, type: triangular,",
+                               "{name: big, type: triangular, type: gaussian,")
+        with pytest.raises(ParseError, match=r"duplicate key 'type'(.|\n)*line 15"):
+            parse_config(text)
+
+    def test_key_inside_a_block_term(self):
+        text = MINIMAL.replace(
+            "    - {name: lo, type: zshoulder, params: [2.0, 8.0]}\n",
+            "    - name: lo\n      type: zshoulder\n      params: [2.0, 8.0]\n"
+            "      params: [1.0, 8.0]\n",
+        )
+        with pytest.raises(ParseError, match=r"duplicate key 'params'(.|\n)*line 10"):
+            parse_config(text)
+
+    def test_equal_keys_written_differently(self):
+        with pytest.raises(yaml.YAMLError, match="duplicate key 1"):
+            _DocumentLoader.load("{1: a, 0x1: b}")
+
+    @pytest.mark.parametrize("text", [
+        "b: &b {x: 1}\nc: {<<: *b, x: 2}\n",                     # a key overrides a merged one
+        "a: &a {x: 1}\nb: &b {y: 1}\nc: {<<: [*a, *b]}\n",       # a list of merges
+        "a: &a {x: 1}\nb: &b {y: 1}\nc: {<<: *a, <<: *b}\n",     # repeated '<<' merges both
+        "b: &b {x: 1}\nm: &m {<<: *b, x: 2}\ntop: {<<: *m, x: 3}\n",  # a merged node merged again
+        "a: {m: &m {<<: &b {x: 1}, x: 2}}\ntop: {<<: *m}\n",     # merged before it is built
+    ])
+    def test_merge_keys_keep_pyyaml_semantics(self, text):
+        assert _DocumentLoader.load(text) == yaml.safe_load(text)
+
+    def test_duplicate_inside_a_merged_mapping(self):
+        with pytest.raises(yaml.YAMLError, match="duplicate key 'k'"):
+            _DocumentLoader.load("top: {<<: {k: 1, k: 2}}")
+
+    def test_merged_controller_fields(self):
+        text = MINIMAL.replace("input:\n", "input: &var\n").replace(
+            "output:\n  name: y\n  range: [0.0, 1.0]\n  samples: 11\n",
+            "output:\n  <<: *var\n  name: y\n  range: [0.0, 1.0]\n",
+        )
+        assert parse_config(text) == parse_config(MINIMAL)
+
+
+class TestNesting:
+    @pytest.mark.parametrize("form", sorted(NESTINGS))
+    def test_bound_is_inclusive(self, form):
+        assert _DocumentLoader.load(NESTINGS[form](MAX_DEPTH)) == yaml.safe_load(
+            NESTINGS[form](MAX_DEPTH))
+        with pytest.raises(yaml.YAMLError, match=f"deeper than {MAX_DEPTH}"):
+            _DocumentLoader.load(NESTINGS[form](MAX_DEPTH + 1))
+
+    def test_deep_field_is_a_parse_error(self):
+        # the pure-Python loader raised RecursionError here
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_config("input: " + "[" * 2000 + "]" * 2000)
+
+    def test_hundred_thousand_levels_in_a_child(self):
+        # libyaml composes recursively in C: without the bound this dies
+        # with SIGSEGV, so it runs in its own process
+        result = run_child("""
+            from fuzzreg import ParseError, parse_config
+            forms = ["[" * 100000 + "]" * 100000, "- " * 100000 + "x",
+                     "{a: " * 100000 + "b" + "}" * 100000]
+            for text in forms:
+                try:
+                    parse_config(text)
+                except ParseError as exc:
+                    assert "nested deeper" in str(exc), exc
+                else:
+                    raise AssertionError("accepted")
+            print("rejected", len(forms))
+        """)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "rejected 3"
+
+
+class TestSurrogates:
+    def test_lone_surrogate_in_text(self):
+        with pytest.raises(ParseError):
+            parse_config(MINIMAL.replace("name: lo,", "name: \"T\ud800\","))
+
+    def test_escaped_lone_surrogate(self):
+        # libyaml refuses the escape; the pure-Python reader accepts it
+        # and the term then rejects the name
+        with pytest.raises((ParseError, ValidationError)):
+            parse_config(MINIMAL.replace("name: lo,", 'name: "T\\uD800",'))
+
+    def test_term_name(self):
+        with pytest.raises(ValidationError, match="term name"):
+            LinguisticTerm("T\ud800", Triangular(0.0, 1.0, 2.0))
+
+    def test_variable_name(self):
+        term = LinguisticTerm("t", Triangular(0.0, 1.0, 2.0))
+        with pytest.raises(ValidationError, match="variable name"):
+            LinguisticVariable("\udfff", Universe(0.0, 2.0, 3), (term,))
+
+
+class TestScalarErrors:
+    @pytest.mark.parametrize("value", [
+        "!!bool maybe", "!!int x", "!!int 0x", "!!float z", "2001-13-01",
+        pytest.param("1" * 5000, id="int_of_5000_digits"),
+    ])
+    def test_unreadable_scalar_is_a_parse_error(self, value):
+        # PyYAML's own constructors raise KeyError or ValueError for these
+        with pytest.raises(ParseError, match="line 19"):
+            parse_config(MINIMAL + f"zero_mass: {value}\n")
+
+
+# --- properties -------------------------------------------------------------
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False), st.text(max_size=12),
+)
+keys = st.one_of(st.text(max_size=12), st.integers(), st.booleans(), st.none())
+trees = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(keys, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@st.composite
+def controller_trees(draw):
+    """The minimal controller with one field replaced by an arbitrary tree."""
+    doc = yaml.safe_load(MINIMAL)
+    node = doc
+    while True:
+        key = draw(st.sampled_from(sorted(node, key=str) if isinstance(node, dict)
+                                   else range(len(node))))
+        if not isinstance(node[key], (dict, list)) or draw(st.booleans()):
+            node[key] = draw(trees)
+            return doc
+        node = node[key]
+
+
+def accepts_or_rejects(text: str) -> None:
+    try:
+        assert isinstance(parse_config(text), Regulator)
+    except (ParseError, ValidationError):
+        pass
+
+
+def dump(tree, flow: bool) -> str:
+    return yaml.safe_dump(tree, default_flow_style=flow, allow_unicode=True, sort_keys=False)
+
+
+@st.composite
+def regulators(draw):
+    """A regulator whose term and variable names are any Unicode text."""
+    names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=10)
+    variables = []
+    for _ in range(2):
+        labels = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+        terms = tuple(
+            LinguisticTerm(label, Triangular(float(i), i + 1.0, i + 2.0))
+            for i, label in enumerate(labels)
+        )
+        variables.append(LinguisticVariable(draw(names), Universe(0.0, len(labels) + 1.0, 7),
+                                            terms))
+    inputs, outputs = variables
+    rules = tuple(Rule(i, draw(st.integers(0, len(outputs.terms) - 1)))
+                  for i in range(len(inputs.terms)))
+    return Regulator(RuleBase(inputs, outputs, rules))
+
+
+class TestProperties:
+    @given(text=st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_any_text(self, text):
+        accepts_or_rejects(text)
+
+    @given(text=st.text(st.sampled_from("[]{}-:,?!&*<>|#'\"\\ \n\tabc01.eE+x"), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_any_yaml_like_text(self, text):
+        accepts_or_rejects(text)
+
+    @given(tree=trees, flow=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_any_tree(self, tree, flow):
+        accepts_or_rejects(dump(tree, flow))
+
+    @given(tree=controller_trees(), flow=st.booleans())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_any_tree_in_a_controller(self, tree, flow):
+        accepts_or_rejects(dump(tree, flow))
+
+    @given(tree=trees, flow=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_loader_returns_what_safe_load_returns(self, tree, flow):
+        text = dump(tree, flow)
+        # repr tells 1 from 1.0 and True, and keeps the key order
+        assert repr(_DocumentLoader.load(text)) == repr(yaml.safe_load(text))
+
+    @given(reg=regulators())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_with_any_names(self, reg):
+        assert parse_config(serialize_config(reg)) == reg
+
+
+def test_without_libyaml():
+    # PyYAML built without libyaml has no CSafeLoader or CSafeDumper;
+    # fuzzreg then falls back to the pure-Python classes
+    result = run_child("""
+        import yaml
+        from fuzzreg import ParseError, ValidationError, parse_config, reference_regulator
+        from fuzzreg import serialize_config
+        from fuzzreg.config import _DocumentLoader, _SafeDumper
+        assert _DocumentLoader.__mro__[1] is yaml.SafeLoader, _DocumentLoader.__mro__
+        assert _SafeDumper is yaml.SafeDumper
+        reg = reference_regulator()
+        text = serialize_config(reg)
+        assert text == yaml.safe_dump(yaml.safe_load(text), sort_keys=False)
+        assert parse_config(text) == reg
+        for bad, error, words in [
+            (text + "zero_mass: midpoint\\n", ParseError, "duplicate key 'zero_mass'"),
+            ("input: " + "[" * 10000 + "]" * 10000, ParseError, "nested deeper"),
+            ("- " * 10000 + "x", ParseError, "nested deeper"),
+            ("{a: " * 10000 + "b" + "}" * 10000, ParseError, "nested deeper"),
+            (text.replace("name: TFJ", 'name: "T\\\\uD800"'), ValidationError, "term name"),
+        ]:
+            try:
+                parse_config(bad)
+            except error as exc:
+                assert words in str(exc), exc
+            else:
+                raise AssertionError(f"accepted {bad[:40]!r}")
+        print("ok")
+    """, hide_libyaml=True)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "ok"
