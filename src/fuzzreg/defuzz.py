@@ -36,6 +36,21 @@ def cog_rows(
     return mass, np.minimum(y, universe.max, out=y)
 
 
+def _cog_vector(universe: Universe, grades: np.ndarray) -> tuple[float, float]:
+    """:func:`cog_rows` of one grade vector, as ``(mass, y)`` floats.
+
+    The two sums are the same numpy pairwise sums; the rest repeats
+    ``cog_rows``' operations in Python floats, which round alike, so the
+    result is the same bit for bit without the fixed cost of one ufunc call
+    per step. ``evaluate`` calls it once per input; ``evaluate_many`` keeps
+    ``cog_rows``, where one call covers a whole chunk of rows.
+    """
+    mass = float(np.add.reduce(grades))
+    moment = float(np.add.reduce(grades * universe.offsets))
+    y = moment / max(mass, _TINY) * universe.span + universe.min
+    return mass, min(max(y, universe.min), universe.max)
+
+
 def defuzz_cog(fset: FuzzySet) -> float:
     """Crisp value of a fuzzy set: sum(x[i] * mu[i]) / sum(mu[i]).
 
@@ -45,8 +60,7 @@ def defuzz_cog(fset: FuzzySet) -> float:
     This is the computation :meth:`Regulator.evaluate` runs, so it
     reproduces a trace's output bit for bit from its aggregated set.
     """
-    grades = fset.grades[None]
-    mass, y = cog_rows(fset.universe, grades, np.empty_like(grades))
-    if mass[0] == 0.0:
+    mass, y = _cog_vector(fset.universe, fset.grades)
+    if mass == 0.0:
         raise ZeroMass("all grades are zero; no rule fired")
-    return float(y[0])
+    return y

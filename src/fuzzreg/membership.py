@@ -23,19 +23,42 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
+# The largest count _count accepts: universe samples, output resolution,
+# sweep steps and plot samples. One row of 2^20 doubles is 8 MiB, and a
+# regulator holds one row per output term, so a document cannot ask for
+# gigabytes; a larger count is rejected before anything is allocated.
+MAX_SAMPLES = 1 << 20
+
+
 def _count(value, what: str, minimum: int, error: type[FuzzyError] = ValidationError) -> int:
-    """``value`` as an ``int`` if it is a whole number of at least
-    ``minimum``; anything else (bools, strings, NaN, infinities, fractions)
-    raises ``error``."""
+    """``value`` as an ``int`` if it is a whole number from ``minimum`` to
+    :data:`MAX_SAMPLES`; anything else (bools, strings, NaN, infinities,
+    fractions, larger counts) raises ``error``."""
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         try:
             n = int(value)
         except (OverflowError, ValueError):
             pass
         else:
-            if n == value and n >= minimum:
+            if n == value and minimum <= n <= MAX_SAMPLES:
                 return n
-    raise error(f"{what} must be a whole number >= {minimum}, got {value!r}")
+    raise error(
+        f"{what} must be a whole number from {minimum} to {MAX_SAMPLES}, got {value!r}"
+    )
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a ``float`` if it is a real number: a ``numbers.Real``
+    that is not a bool, which takes in numpy's integer and floating
+    scalars. Strings, bools and anything else raise ``ValidationError``;
+    an integer too large for a double becomes an infinity, for the
+    caller's finite check to reject."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +78,11 @@ class Universe:
     offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "min", float(self.min))
-        object.__setattr__(self, "max", float(self.max))
+        # + 0.0 stores a -0.0 bound as 0.0: numpy's maximum and minimum
+        # may return either zero on a tie, Python's max and min the first,
+        # and the two forms of center of gravity clamp to these bounds
+        object.__setattr__(self, "min", _real(self.min, "universe min") + 0.0)
+        object.__setattr__(self, "max", _real(self.max, "universe max") + 0.0)
         object.__setattr__(self, "n", _count(self.n, "sample count", 2, InvalidUniverse))
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise InvalidUniverse("universe bounds must be finite")
@@ -150,16 +176,13 @@ class MembershipFunction:
 
     def _coerce(self, *names: str) -> None:
         for name in names:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(
-                    f"{type(self).__name__}.{name} must be a number, got {value!r}"
-                )
-            if not math.isfinite(float(value)):
-                raise ValidationError(f"{type(self).__name__}.{name} must be finite")
+            what = f"{type(self).__name__}.{name}"
+            value = _real(getattr(self, name), what)
+            if not math.isfinite(value):
+                raise ValidationError(f"{what} must be finite")
             # + 0.0 turns -0.0 into 0.0: a vertical edge from 0.0 to -0.0
             # would divide by -0.0 and flip the sign of its ramp
-            object.__setattr__(self, name, float(value) + 0.0)
+            object.__setattr__(self, name, value + 0.0)
 
     def _check_width(self, lo: float, hi: float) -> None:
         # a ramp across an overflowing width would divide by infinity
@@ -448,7 +471,7 @@ def singleton_fuzzify(x0: float, var: LinguisticVariable) -> np.ndarray:
     The value is clamped to the universe before evaluation, so out-of-range
     readings saturate instead of failing. Returns one grade per term.
     """
-    x = float(x0)
+    x = _real(x0, "crisp input")
     if not math.isfinite(x):
         raise NonFiniteInput(f"crisp input must be finite, got {x0!r}")
     xc = var.universe.clamp(x)

@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fuzzreg import FuzzySet, Universe, ZeroMass, defuzz_cog
+from fuzzreg import (
+    FuzzySet,
+    SShoulder,
+    Trapezoidal,
+    Triangular,
+    Universe,
+    ZeroMass,
+    ZShoulder,
+    defuzz_cog,
+    discretize,
+)
+from fuzzreg.defuzz import _cog_vector, cog_rows
 
 
 def cog_oracle(points, grades):
@@ -86,3 +98,84 @@ class TestProperties:
         y = defuzz_cog(FuzzySet(fs.universe, sym))
         span = fs.universe.max - fs.universe.min
         assert abs(y - fs.universe.midpoint) <= 1e-12 * span
+
+
+def bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@st.composite
+def grade_vectors(draw, n):
+    """Arbitrary grades, all zeros, or a single spike of any height."""
+    kind = draw(st.sampled_from(["any", "zero", "spike"]))
+    if kind == "any":
+        return draw(arrays(float, n, elements=st.floats(0, 1)))
+    grades = np.zeros(n)
+    if kind == "spike":
+        grades[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([1.0, 5e-324, 1e-300]) | st.floats(0, 1))
+    return grades
+
+
+# both ends at extreme magnitudes, tiny spans far from zero, one near
+# zero, and -0.0 ends, where numpy and Python break a tie between zeros
+# differently unless the universe stores them as 0.0
+BOUNDS = [(0.0, 1.0), (0.0, 1e307), (-1e307, 1e307), (1e6, 1e6 + 0.5),
+          (1.0, 1.0 + 1e-6), (1e-300, 3e-300), (-0.0, 1.0), (-3.5, -0.0)]
+
+
+class TestOneVectorForm:
+    """``defuzz_cog`` and ``evaluate`` use the one-vector form of COG and
+    ``evaluate_many`` uses ``cog_rows``; they must agree bit for bit."""
+
+    @given(bounds=st.sampled_from(BOUNDS), data=st.data())
+    def test_equals_cog_rows_bit_for_bit(self, bounds, data):
+        u = Universe(*bounds, data.draw(st.integers(2, 600)))
+        grades = data.draw(grade_vectors(u.n))
+        rows = grades[None]
+        mass, y = cog_rows(u, rows, np.empty_like(rows))
+        assert bits(*_cog_vector(u, grades)) == bits(mass[0], y[0])
+
+    @pytest.mark.parametrize("n", [8193, 65537])
+    @pytest.mark.parametrize("bounds", BOUNDS)
+    def test_equals_cog_rows_on_long_rows(self, n, bounds):
+        u = Universe(*bounds, n)
+        rows = np.random.default_rng(n).random((3, n))
+        rows[1, : n // 2] = 0.0
+        mass, y = cog_rows(u, rows, np.empty_like(rows))
+        for i, grades in enumerate(rows):
+            assert bits(*_cog_vector(u, grades)) == bits(mass[i], y[i])
+
+
+def continuous_centroid(mf, lo, hi):
+    """Centroid of a continuous piecewise-linear shape over [lo, hi],
+    integrated exactly between its breakpoints."""
+    xs = sorted({lo, hi} | {v for v in vars(mf).values() if lo < v < hi})
+    mass = moment = 0.0
+    for x0, x1 in zip(xs, xs[1:]):
+        g0, g1 = mf(x0), mf(x1)
+        mass += (x1 - x0) * (g0 + g1) / 2
+        moment += (x1 - x0) * (x0 * (2 * g0 + g1) + x1 * (g0 + 2 * g1)) / 6
+    return moment / mass
+
+
+class TestConvergence:
+    """Discrete COG converges to the continuous centroid at O(1/n). A set
+    cut by an end of the universe sits there with a whole sample's weight
+    where the integral gives it half, which moves the centroid by a fraction
+    of a step; inside the universe the error falls faster."""
+
+    @pytest.mark.parametrize("mf", [
+        Triangular(20.3, 45.1, 90.7),
+        Triangular(-30.0, 17.3, 64.9),
+        Trapezoidal(10.3, 30.7, 55.1, 80.9),
+        Trapezoidal(-20.0, 12.3, 61.7, 140.0),
+        ZShoulder(33.3, 71.1),
+        SShoulder(12.1, 45.7),
+    ])
+    def test_error_bound_halves_as_samples_double(self, mf):
+        want = continuous_centroid(mf, 0.0, 100.0)
+        for k in range(7):  # 101 to 6 401 samples
+            u = Universe(0.0, 100.0, 100 * 2**k + 1)
+            step = u.span / (u.n - 1)
+            assert abs(defuzz_cog(discretize(mf, u)) - want) <= step / 2

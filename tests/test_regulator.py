@@ -9,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzreg import (
+    EvalTrace,
+    FuzzySet,
     LinguisticTerm,
     LinguisticVariable,
     NonFiniteInput,
@@ -137,6 +139,31 @@ class TestEvaluate:
         for x0 in (0.0, 0.7, 33.0, 75.0, 99.0):
             trace = ref.evaluate(x0)
             assert defuzz_cog(trace.aggregated) == trace.output
+
+    @pytest.mark.parametrize("reg, x0", [
+        (reference_regulator(), -5.0), (reference_regulator(), 0.7),
+        (reference_regulator(), 61.5), (reference_regulator(), 250.0),
+        (gap_regulator(ZeroMassPolicy.MIDPOINT), 50.0),
+    ])
+    def test_trace_is_read_only_and_equals_a_public_trace(self, reg, x0):
+        trace = reg.evaluate(x0)
+        for arr in (trace.activations, trace.aggregated.grades):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        public = EvalTrace(
+            input=trace.input,
+            clamped_input=trace.clamped_input,
+            activations=trace.activations.tolist(),
+            aggregated=FuzzySet(trace.aggregated.universe, trace.aggregated.grades.tolist()),
+            output=trace.output,
+            zero_mass_fallback=trace.zero_mass_fallback,
+        )
+        assert trace.activations.dtype == public.activations.dtype
+        assert trace.activations.tolist() == public.activations.tolist()
+        assert trace.aggregated == public.aggregated
+        for name in ("input", "clamped_input", "output", "zero_mass_fallback"):
+            assert getattr(trace, name) == getattr(public, name)
+        assert type(trace.output) is float and type(trace.zero_mass_fallback) is bool
 
     def test_out_of_range_input_clamps(self, ref):
         assert ref.evaluate(-5.0).output == ref.evaluate(0.0).output

@@ -1,7 +1,9 @@
-"""Failures are FuzzyErrors with a useful message, and center of gravity
-stays exact at extreme magnitudes."""
+"""Failures are FuzzyErrors with a useful message, sizes and inputs follow
+one rule at every call site, and center of gravity stays exact at extreme
+magnitudes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ import pytest
 from fuzzreg import (
     FuzzyError,
     FuzzySet,
+    Gaussian,
     InvalidUniverse,
     LinguisticTerm,
     LinguisticVariable,
     MembershipFunction,
+    NonFiniteInput,
     Regulator,
     Rule,
     RuleBase,
@@ -25,8 +29,12 @@ from fuzzreg import (
     defuzz_cog,
     discretize,
     emit_mf_plot_data,
+    parse_config,
     reference_regulator,
+    serialize_config,
+    singleton_fuzzify,
 )
+from fuzzreg.membership import MAX_SAMPLES, _count
 
 NOT_COUNTS = [math.inf, -math.inf, math.nan, 2.5, True, "7", None]
 
@@ -66,6 +74,33 @@ class TestCountValidator:
         assert Universe(0, 1, np.int64(5)).n == 5
         assert Rule(np.int32(1), 2.0) == Rule(1, 2)
         assert len(reference_regulator().sweep(np.int64(3))) == 3
+
+    def test_the_cap_is_a_count(self):
+        assert MAX_SAMPLES >= 65537
+        assert _count(MAX_SAMPLES, "samples", 2) == MAX_SAMPLES
+
+    @pytest.mark.parametrize("call", [
+        lambda n: Universe(0, 1, n),
+        lambda n: Regulator(reference_regulator().rulebase, output_resolution=n),
+        lambda n: reference_regulator().sweep(n),
+        lambda n: emit_mf_plot_data(reference_regulator().input_var, n),
+        lambda n: parse_config(serialize_config(reference_regulator()).replace(
+            "samples: 101", f"samples: {n}", 1)),
+        lambda n: parse_config(serialize_config(reference_regulator()).replace(
+            "output_resolution: 101", f"output_resolution: {n}")),
+    ], ids=["universe", "output_resolution", "sweep", "plot", "config_samples",
+            "config_output_resolution"])
+    def test_counts_past_the_cap_are_rejected_before_allocating(self, call):
+        call(3)  # the call site allocates as usual below the cap
+        tracemalloc.start()
+        try:
+            with pytest.raises((ValidationError, InvalidUniverse), match=str(MAX_SAMPLES)):
+                call(MAX_SAMPLES + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one row of MAX_SAMPLES doubles would be 8 MiB
+        assert peak < (1 << 20)
 
     def test_every_error_is_a_fuzzy_error(self):
         for call in (
@@ -126,6 +161,13 @@ class TestExtremeMagnitudes:
         with pytest.raises(ValidationError, match="overflows"):
             make()
 
+    def test_negative_zero_bounds_are_stored_as_zero(self):
+        # center of gravity clamps to the bounds, with numpy in cog_rows and
+        # with Python floats for one vector, which break a 0.0/-0.0 tie apart
+        u = Universe(-3.5, -0.0, 5)
+        v = Universe(-0.0, 1.0, 5)
+        assert math.copysign(1.0, u.max) == math.copysign(1.0, v.min) == 1.0
+
     def test_negative_zero_parameters_keep_vertical_edges(self):
         # 0.0 to -0.0 is a zero-width edge; left of it the grade is zero
         mf = Triangular(0.0, -0.0, 1.0)
@@ -184,3 +226,69 @@ class TestUserDefinedShapes:
             reg.evaluate(50.0)
         with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
             reg.evaluate_many([50.0])
+
+
+class TestNumericInputs:
+    """One rule for numbers from outside: a real number that is not a bool,
+    numpy's integer and floating scalars included; an array of inputs must
+    have an integer or float dtype."""
+
+    NOT_NUMBERS = ["5", True, np.True_, None, b"5", 1 + 2j, [5.0]]
+
+    @pytest.mark.parametrize("x", NOT_NUMBERS)
+    def test_evaluate_rejects_non_numbers(self, x):
+        with pytest.raises(ValidationError, match="crisp input must be a number"):
+            reference_regulator().evaluate(x)
+
+    @pytest.mark.parametrize("x", NOT_NUMBERS)
+    def test_singleton_fuzzify_rejects_non_numbers(self, x):
+        with pytest.raises(ValidationError, match="crisp input must be a number"):
+            singleton_fuzzify(x, reference_regulator().input_var)
+
+    @pytest.mark.parametrize("xs", [["5"], [True, False], np.array([1 + 2j]),
+                                    [None], [1.0, "2"]])
+    def test_evaluate_many_rejects_non_numeric_arrays(self, xs):
+        with pytest.raises(ValidationError, match="crisp inputs must be real numbers"):
+            reference_regulator().evaluate_many(xs)
+
+    @pytest.mark.parametrize("x", [37, np.int64(37), np.int8(37), np.uint16(37),
+                                   np.float32(37.0), np.float64(37.0)])
+    def test_evaluate_accepts_ints_and_numpy_scalars(self, x):
+        ref = reference_regulator()
+        trace = ref.evaluate(x)
+        assert trace.input == 37.0 and type(trace.input) is float
+        assert trace.output == ref.evaluate(37.0).output
+
+    @pytest.mark.parametrize("xs", [[37, 80], np.array([37, 80], dtype=np.int32),
+                                    np.array([37, 80], dtype=np.uint8),
+                                    np.array([37, 80], dtype=np.float32)])
+    def test_evaluate_many_accepts_integer_and_float_arrays(self, xs):
+        ref = reference_regulator()
+        assert ref.evaluate_many(xs).tolist() == ref.evaluate_many([37.0, 80.0]).tolist()
+
+    def test_integers_too_large_for_a_double_are_not_finite(self):
+        with pytest.raises(NonFiniteInput):
+            reference_regulator().evaluate(10**400)
+        with pytest.raises(NonFiniteInput):
+            reference_regulator().evaluate(-(10**400))
+        with pytest.raises(ValidationError, match="must be finite"):
+            Triangular(0, 1, 10**400)
+
+    def test_universe_bounds_follow_the_rule(self):
+        assert Universe(np.float32(0.5), np.int64(2), 4) == Universe(0.5, 2.0, 4)
+        for bad in ("0", True, None):
+            with pytest.raises(ValidationError, match="universe min must be a number"):
+                Universe(bad, 1.0, 4)
+        with pytest.raises(InvalidUniverse, match="finite"):
+            Universe(0.0, 10**400, 4)
+
+    def test_shape_parameters_accept_numpy_scalars(self):
+        mf = Triangular(np.float32(0.5), np.int64(1), np.float64(2.0))
+        assert mf == Triangular(0.5, 1.0, 2.0)
+        assert all(type(v) is float for v in (mf.a, mf.b, mf.c))
+        assert Gaussian(np.float16(1.0), np.float32(0.25)) == Gaussian(1.0, 0.25)
+
+    @pytest.mark.parametrize("value", [True, np.False_, "1", None, 1 + 0j])
+    def test_shape_parameters_reject_non_numbers(self, value):
+        with pytest.raises(ValidationError, match="must be a number"):
+            Triangular(value, 1.0, 2.0)
