@@ -41,7 +41,6 @@ from .config import (
 )
 from .plotdata import emit_mf_plot_data, emit_sweep_data, format_value
 from .regulator import (
-    DefuzzPolicy,
     EvalTrace,
     Regulator,
     ZeroMassPolicy,
@@ -51,7 +50,6 @@ from .regulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DefuzzPolicy",
     "DimensionMismatch",
     "EmptyRuleBase",
     "EvalTrace",

@@ -52,9 +52,11 @@ from .membership import (
     Triangular,
     Universe,
     ZShoulder,
+    _count,
+    _real,
     mf_parameters,
 )
-from .regulator import DefuzzPolicy, Regulator, ZeroMassPolicy
+from .regulator import Regulator, ZeroMassPolicy
 
 MF_TYPES: dict[str, type[MembershipFunction]] = {
     "triangular": Triangular,
@@ -168,18 +170,6 @@ def _check_mapping(value, path: str, allowed: set[str]) -> dict:
     return value
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
 def _string(value, path: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{path}: expected a non-empty string, got {value!r}")
@@ -204,7 +194,7 @@ def _parse_term(doc, path: str) -> LinguisticTerm:
         raise ValidationError(
             f"{path}.params: {type_name} takes {arity} parameters, got {len(raw)}"
         )
-    params = [_number(p, f"{path}.params[{i}]") for i, p in enumerate(raw)]
+    params = [_real(p, f"{path}.params[{i}]") for i, p in enumerate(raw)]
     try:
         mf = cls(*params)
     except ValidationError as exc:
@@ -218,9 +208,9 @@ def _parse_variable(doc, path: str) -> LinguisticVariable:
     rng = _require(var, "range", path)
     if not isinstance(rng, list) or len(rng) != 2:
         raise ValidationError(f"{path}.range: expected [min, max]")
-    lo = _number(rng[0], f"{path}.range[0]")
-    hi = _number(rng[1], f"{path}.range[1]")
-    samples = _integer(_require(var, "samples", path), f"{path}.samples")
+    lo = _real(rng[0], f"{path}.range[0]")
+    hi = _real(rng[1], f"{path}.range[1]")
+    samples = _count(_require(var, "samples", path), f"{path}.samples", 2)
     terms_doc = _require(var, "terms", path)
     if not isinstance(terms_doc, list) or not terms_doc:
         raise ValidationError(f"{path}.terms: expected a non-empty list")
@@ -229,8 +219,11 @@ def _parse_variable(doc, path: str) -> LinguisticVariable:
     )
     try:
         universe = Universe(lo, hi, samples)
+    except InvalidUniverse as exc:
+        raise ValidationError(f"{path}.range: {exc}") from None
+    try:
         return LinguisticVariable(name, universe, terms)
-    except (InvalidUniverse, ValidationError) as exc:
+    except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
@@ -284,14 +277,9 @@ def parse_config(document: str) -> Regulator:
     output_var = _parse_variable(_require(doc, "output", "document"), "output")
     rules = _parse_rules(_require(doc, "rules", "document"), "rules", input_var, output_var)
 
-    defuzz_name = doc.get("defuzzification", DefuzzPolicy.CENTER_OF_GRAVITY.value)
-    try:
-        defuzz = DefuzzPolicy(_string(defuzz_name, "defuzzification"))
-    except ValueError:
-        raise ValidationError(
-            f"defuzzification: unknown method {defuzz_name!r}; expected "
-            f"{sorted(p.value for p in DefuzzPolicy)}"
-        ) from None
+    defuzz_name = doc.get("defuzzification", "cog")
+    if _string(defuzz_name, "defuzzification") != "cog":
+        raise ValidationError(f"defuzzification: unknown method {defuzz_name!r}; expected ['cog']")
 
     zero_mass_name = doc.get("zero_mass", ZeroMassPolicy.ERROR.value)
     try:
@@ -302,22 +290,16 @@ def parse_config(document: str) -> Regulator:
             f"{sorted(p.value for p in ZeroMassPolicy)}"
         ) from None
 
-    resolution = doc.get("output_resolution")
-    if resolution is not None:
-        resolution = _integer(resolution, "output_resolution")
-
     try:
         rulebase = RuleBase(input_var, output_var, rules)
     except ValidationError as exc:
         raise ValidationError(f"rules: {exc}") from None
+    resolution = doc.get("output_resolution")
     try:
-        return Regulator(
-            rulebase,
-            output_resolution=resolution,
-            defuzz_policy=defuzz,
-            zero_mass_policy=zero_mass,
-        )
-    except ValidationError as exc:
+        return Regulator(rulebase, output_resolution=resolution, zero_mass_policy=zero_mass)
+    except InvalidUniverse as exc:
+        # Regulator's own count check names output_resolution already; a
+        # valid count may still leave the resampled output universe degenerate
         raise ValidationError(f"output_resolution: {exc}") from None
 
 
@@ -360,7 +342,7 @@ def serialize_config(reg: Regulator) -> str:
             {"if": in_names[rule.antecedent], "then": out_names[rule.consequent]}
             for rule in reg.rulebase.rules
         ],
-        "defuzzification": reg.defuzz_policy.value,
+        "defuzzification": "cog",
         "zero_mass": reg.zero_mass_policy.value,
         "output_resolution": reg.output_resolution,
     }

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyRuleBase, ValidationError
-from .membership import FuzzySet, LinguisticVariable, _count, _readonly
+from .membership import FuzzySet, LinguisticVariable, _count, _grade_array
 
 
 def _grades(values) -> np.ndarray:
@@ -33,11 +33,9 @@ class FuzzyRelation:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        e = _readonly(self.entries)
+        e = _grade_array(self.entries, "relation entries")
         if e.ndim != 2 or e.shape[0] < 1 or e.shape[1] < 1:
             raise ValidationError(f"relation must be a 2-D matrix, got shape {e.shape}")
-        if not np.all((e >= 0.0) & (e <= 1.0)):
-            raise ValidationError("relation entries must lie in [0, 1]")
         object.__setattr__(self, "entries", e)
 
     @property

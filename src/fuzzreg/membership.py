@@ -17,8 +17,12 @@ import numpy as np
 from .errors import FuzzyError, InvalidUniverse, NonFiniteInput, ValidationError
 
 
-def _readonly(values) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=float)
+def _grade_array(values, what: str) -> np.ndarray:
+    """A read-only float copy of a caller's ``values``, every one of which
+    must lie in ``[0, 1]``; the copy leaves the caller's array writable."""
+    arr = np.array(values, dtype=float, order="C")
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValidationError(f"{what} must lie in [0, 1]")
     arr.setflags(write=False)
     return arr
 
@@ -104,8 +108,11 @@ class Universe:
                 f"range [{self.min}, {self.max}] is too narrow relative to its "
                 f"magnitude for a uniform grid"
             )
-        object.__setattr__(self, "points", _readonly(pts))
-        object.__setattr__(self, "offsets", _readonly(np.linspace(0.0, 1.0, self.n)))
+        offsets = np.linspace(0.0, 1.0, self.n)
+        pts.setflags(write=False)
+        offsets.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def span(self) -> float:
@@ -422,14 +429,12 @@ class FuzzySet:
     grades: np.ndarray
 
     def __post_init__(self) -> None:
-        g = _readonly(self.grades)
+        g = _grade_array(self.grades, "grades")
         if g.ndim != 1 or g.shape[0] != self.universe.n:
             raise ValidationError(
                 f"grades must be a vector of length {self.universe.n}, "
                 f"got shape {g.shape}"
             )
-        if not np.all((g >= 0.0) & (g <= 1.0)):
-            raise ValidationError("grades must lie in [0, 1]")
         object.__setattr__(self, "grades", g)
 
     @classmethod

@@ -20,7 +20,7 @@ from .membership import (
     Universe,
     ZShoulder,
     _count,
-    _readonly,
+    _grade_array,
     _real,
 )
 
@@ -29,10 +29,6 @@ from .membership import (
 CHUNK_ELEMENTS = 1 << 16
 
 _NO_MASS = "all grades are zero; no rule fired"
-
-
-class DefuzzPolicy(Enum):
-    CENTER_OF_GRAVITY = "cog"
 
 
 class ZeroMassPolicy(Enum):
@@ -55,7 +51,7 @@ class EvalTrace:
     zero_mass_fallback: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "activations", _readonly(self.activations))
+        object.__setattr__(self, "activations", _grade_array(self.activations, "activations"))
 
     @classmethod
     def _trusted(
@@ -99,7 +95,6 @@ class Regulator:
 
     rulebase: RuleBase
     output_resolution: int | None = None
-    defuzz_policy: DefuzzPolicy = DefuzzPolicy.CENTER_OF_GRAVITY
     zero_mass_policy: ZeroMassPolicy = ZeroMassPolicy.ERROR
 
     def __post_init__(self) -> None:
@@ -107,8 +102,6 @@ class Regulator:
         out_var = self.rulebase.output_var
         res = out_var.universe.n if self.output_resolution is None else self.output_resolution
         object.__setattr__(self, "output_resolution", _count(res, "output_resolution", 2))
-        if not isinstance(self.defuzz_policy, DefuzzPolicy):
-            raise ValidationError(f"unknown defuzzification policy {self.defuzz_policy!r}")
         if not isinstance(self.zero_mass_policy, ZeroMassPolicy):
             raise ValidationError(f"unknown zero-mass policy {self.zero_mass_policy!r}")
 
@@ -132,14 +125,6 @@ class Regulator:
         object.__setattr__(self, "_input_mfs", tuple(term.mf for term in in_var.terms))
         object.__setattr__(self, "_input_bounds", (in_var.universe.min, in_var.universe.max))
         object.__setattr__(self, "_rule_pairs", tuple((r.antecedent, r.consequent) for r in rules))
-        # rules grouped by consequent, for one max-reduction per output term
-        # (np.unique would do, but maps about 0.2 MiB more of numpy's code)
-        by_term = sorted(rules, key=lambda r: r.consequent)
-        firsts = [i for i, r in enumerate(by_term)
-                  if i == 0 or by_term[i - 1].consequent != r.consequent]
-        object.__setattr__(self, "_rule_antecedents", np.array([r.antecedent for r in by_term]))
-        object.__setattr__(self, "_rule_groups", np.array(firsts))
-        object.__setattr__(self, "_ruled_terms", np.array([by_term[i].consequent for i in firsts]))
         object.__setattr__(
             self,
             "_consequents",
@@ -169,9 +154,9 @@ class Regulator:
         largest activation, among the rules that conclude the term, of the
         rule's antecedent in ``activations`` (input terms x inputs)."""
         strengths = np.zeros((len(self._matrix), activations.shape[1]))
-        strengths[self._ruled_terms] = np.maximum.reduceat(
-            activations[self._rule_antecedents], self._rule_groups, axis=0
-        )
+        # max is exact, so the order of the rules does not change a bit
+        for a, c in self._rule_pairs:
+            np.maximum(strengths[c], activations[a], out=strengths[c])
         return strengths
 
     def _clip_max(self, strengths: np.ndarray, agg: np.ndarray, tmp: np.ndarray) -> None:
@@ -216,8 +201,7 @@ class Regulator:
         # a user-defined shape's mf(x) is not checked anywhere else
         if not all(0.0 <= g <= 1.0 for g in grades):
             raise ValidationError(f"grades must lie in [0, 1], got {grades}")
-        # each term's strength as _strengths takes it; max is exact, so
-        # the order of the rules does not change a bit
+        # each term's strength as _strengths takes it
         strengths = [0.0] * len(self._matrix)
         for a, c in self._rule_pairs:
             if grades[a] > strengths[c]:

@@ -208,6 +208,21 @@ class TestCheck:
         assert cli_main(["check", "--config", str(bad)]) == 1
         assert "wedge" in capsys.readouterr().err
 
+    def test_degenerate_output_resolution_exits_1(self, tmp_path, capsys):
+        # a million samples over a 1e-12 range are spaced below one ulp
+        text = GAP_CONFIG + "output_resolution: 1000000\n"
+        for old, new in [
+            ("range: [0.0, 1.0]\n  samples: 11", "range: [1.0, 1.000000000001]\n  samples: 2"),
+            ("triangular, params: [0.0, 0.25, 0.5]", "zshoulder, params: [1.0, 1.000000000001]"),
+            ("triangular, params: [0.5, 0.75, 1.0]", "sshoulder, params: [1.0, 1.000000000001]"),
+        ]:
+            assert old in text
+            text = text.replace(old, new)
+        bad = tmp_path / "narrow.yaml"
+        bad.write_text(text)
+        assert cli_main(["check", "--config", str(bad)]) == 1
+        assert "output_resolution: sample spacing underflows" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert cli_main(["check", "--config", str(tmp_path / "nope.yaml")]) == 1
         capsys.readouterr()

@@ -195,6 +195,67 @@ class TestValidationDiagnostics:
             parse_config(text)
 
 
+HUGE = "1" + "0" * 400  # 10**400 written out: past the largest double and any count
+LO_TERM = "{name: lo, type: zshoulder, params: [2.0, 8.0]}"
+IN_SAMPLES = "samples: 11\n  terms:\n    - {name: lo"
+
+
+def narrow_output(resolution: int) -> str:
+    """MINIMAL with an output range of 1e-12 around 1.0: a uniform grid at
+    2 samples, while a million samples would space them below one ulp."""
+    return with_lines({
+        "range: [0.0, 1.0]\n  samples: 11": "range: [1.0, 1.000000000001]\n  samples: 2",
+        "params: [0.0, 0.0, 0.5]": "params: [1.0, 1.0, 1.000000000001]",
+        "params: [0.5, 1.0, 1.0]": "params: [1.0, 1.000000000001, 1.000000000001]",
+    }) + f"output_resolution: {resolution}\n"
+
+
+class TestNumbersAndCounts:
+    """Document fields follow the number and count rules of the API, and
+    every rejection names its field."""
+
+    @pytest.mark.parametrize("text, path", [
+        (with_lines({"range: [0.0, 10.0]": f"range: [0.0, {HUGE}]"}), r"input\.range: "),
+        (with_lines({LO_TERM: LO_TERM.replace("8.0", HUGE)}), r"input\.terms\[0\]\.params: "),
+        (with_lines({IN_SAMPLES: IN_SAMPLES.replace("11", HUGE)}), r"input\.samples "),
+        (MINIMAL + f"output_resolution: {HUGE}\n", r"output_resolution "),
+    ], ids=["range", "params", "samples", "output_resolution"])
+    def test_huge_integers_name_their_field(self, text, path):
+        with pytest.raises(ValidationError, match="^" + path):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text, message", [
+        (with_lines({"range: [0.0, 10.0]": "range: [0.0, ten]"}),
+         "input.range[1] must be a number, got 'ten'"),
+        (with_lines({LO_TERM: LO_TERM.replace("8.0", "much")}),
+         "input.terms[0].params[1] must be a number, got 'much'"),
+        (with_lines({IN_SAMPLES: IN_SAMPLES.replace("11", "true")}),
+         "input.samples must be a whole number from 2 to 1048576, got True"),
+    ], ids=["range", "params", "samples"])
+    def test_diagnostics_name_the_field(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert str(err.value) == message
+
+    def test_whole_float_sample_count_is_a_count(self):
+        text = reference_config_path().read_text().replace("samples: 101", "samples: 101.0", 1)
+        reg = parse_config(text)
+        assert reg == reference_regulator()
+        assert type(reg.input_var.universe.n) is int
+        assert serialize_config(reg) == serialize_config(reference_regulator())
+        assert "samples: 101\n" in serialize_config(reg)
+
+    def test_fractional_sample_count_is_rejected(self):
+        text = reference_config_path().read_text().replace("samples: 101", "samples: 101.5", 1)
+        with pytest.raises(ValidationError, match=r"^input\.samples .*101\.5"):
+            parse_config(text)
+
+    def test_degenerate_output_resolution_names_its_field(self):
+        assert parse_config(narrow_output(2)).output_resolution == 2
+        with pytest.raises(ValidationError, match=r"^output_resolution: .*underflows"):
+            parse_config(narrow_output(1_000_000))
+
+
 # --- the YAML loader ---------------------------------------------------------
 
 SRC = str(Path(config_module.__file__).resolve().parents[1])

@@ -35,7 +35,9 @@ from fuzzreg import (
     ZShoulder,
     defuzz_cog,
     discretize,
+    infer,
     reference_regulator,
+    singleton_fuzzify,
 )
 from fuzzreg import regulator as regulator_module
 
@@ -284,6 +286,23 @@ class TestCompiledConsequents:
         cached = reference_regulator().consequent_sets[0]
         with pytest.raises(ValueError):
             cached.grades[0] = 0.5
+
+
+class TestPaperPath:
+    @given(reg=regulators(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_evaluate_aggregates_as_infer_does(self, reg, data):
+        """The scalar and batch paths share the compiled rule pairs, so
+        comparing them does not check the compilation; the paper's path
+        does, clipping one consequent per rule of the rule base."""
+        for x in inputs_for(reg, data, max_size=20).tolist():
+            want = infer(reg.rulebase, singleton_fuzzify(x, reg.input_var), reg.consequent_sets)
+            try:
+                got = reg.evaluate(x).aggregated
+            except ZeroMass:
+                assert not want.grades.any()
+            else:
+                assert got == want
 
 
 class TestSharedAcrossThreads:

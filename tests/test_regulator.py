@@ -165,6 +165,12 @@ class TestEvaluate:
             assert getattr(trace, name) == getattr(public, name)
         assert type(trace.output) is float and type(trace.zero_mass_fallback) is bool
 
+    @pytest.mark.parametrize("activations", [[0.5, 7.0], [-0.1, 0.5], [math.nan, 0.5]])
+    def test_public_trace_rejects_activations_outside_unit_interval(self, activations):
+        aggregated = FuzzySet(Universe(0, 1, 2), [0.0, 1.0])
+        with pytest.raises(ValidationError, match="activations must lie in"):
+            EvalTrace(1.0, 1.0, np.array(activations), aggregated, 1.0)
+
     def test_out_of_range_input_clamps(self, ref):
         assert ref.evaluate(-5.0).output == ref.evaluate(0.0).output
         assert ref.evaluate(-5.0).clamped_input == 0.0

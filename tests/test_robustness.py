@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from fuzzreg import (
+    EvalTrace,
     FuzzyError,
+    FuzzyRelation,
     FuzzySet,
     Gaussian,
     InvalidUniverse,
@@ -292,3 +294,23 @@ class TestNumericInputs:
     def test_shape_parameters_reject_non_numbers(self, value):
         with pytest.raises(ValidationError, match="must be a number"):
             Triangular(value, 1.0, 2.0)
+
+
+class TestCallerArrays:
+    """Public constructors copy the caller's array: it stays writable, and
+    writing to it does not change the object."""
+
+    @pytest.mark.parametrize("make, stored", [
+        (lambda a: FuzzySet(Universe(0, 1, 3), a), lambda obj: obj.grades),
+        (lambda a: FuzzyRelation(a.reshape(1, 3)), lambda obj: obj.entries),
+        (lambda a: EvalTrace(0.5, 0.5, a, FuzzySet(Universe(0, 1, 2), [0, 1]), 0.5),
+         lambda obj: obj.activations),
+    ], ids=["FuzzySet", "FuzzyRelation", "EvalTrace"])
+    def test_caller_array_stays_writable(self, make, stored):
+        a = np.array([0.1, 0.2, 0.3])
+        obj = make(a)
+        assert a.flags.writeable
+        a[:] = 0.9
+        assert stored(obj).ravel().tolist() == [0.1, 0.2, 0.3]
+        with pytest.raises(ValueError):
+            stored(obj)[0] = 0.5
