@@ -113,10 +113,7 @@ def _cmd_mfplot(args) -> int:
 
 def _cmd_infer(args) -> int:
     relation = FuzzyRelation(_load_matrix(args.relation))
-    ap = _load_vector(args.ap)
-    if not np.all((ap >= 0.0) & (ap <= 1.0)):
-        raise ValidationError(f"{args.ap}: grades must lie in [0, 1]")
-    out = cri(relation, ap)
+    out = cri(relation, _load_vector(args.ap))
     print(",".join(format_value(g) for g in out))
     return EXIT_OK
 

@@ -31,4 +31,4 @@ class EmptyRuleBase(FuzzyError, ValueError):
 
 
 class ZeroMass(FuzzyError, ArithmeticError):
-    """Defuzzification was asked for an all-zero fuzzy set (no rule fired)."""
+    """Defuzzification was asked for an all-zero fuzzy set."""

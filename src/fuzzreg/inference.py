@@ -19,7 +19,7 @@ from .membership import FuzzySet, LinguisticVariable, _count, _grade_array
 
 
 def _grades(values) -> np.ndarray:
-    g = np.asarray(values, dtype=float)
+    g = _grade_array(values, "grades")
     if g.ndim != 1:
         raise DimensionMismatch(f"expected a grade vector, got shape {g.shape}")
     return g
@@ -67,7 +67,10 @@ def cri(relation, activation) -> np.ndarray:
     ``relation`` may be a :class:`FuzzyRelation` or a plain matrix. The
     result has one grade per relation column.
     """
-    r = np.asarray(getattr(relation, "entries", relation), dtype=float)
+    if isinstance(relation, FuzzyRelation):
+        r = relation.entries
+    else:
+        r = _grade_array(relation, "relation entries")
     if r.ndim != 2:
         raise DimensionMismatch(f"relation must be a 2-D matrix, got shape {r.shape}")
     ap = _grades(activation)

@@ -19,8 +19,12 @@ from .errors import FuzzyError, InvalidUniverse, NonFiniteInput, ValidationError
 
 def _grade_array(values, what: str) -> np.ndarray:
     """A read-only float copy of a caller's ``values``, every one of which
-    must lie in ``[0, 1]``; the copy leaves the caller's array writable."""
-    arr = np.array(values, dtype=float, order="C")
+    must be a number in ``[0, 1]``, else ``ValidationError``; the copy
+    leaves the caller's array writable."""
+    try:
+        arr = np.array(values, dtype=float, order="C")
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be numbers in [0, 1] ({exc})") from None
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValidationError(f"{what} must lie in [0, 1]")
     arr.setflags(write=False)
@@ -158,9 +162,10 @@ class MembershipFunction:
 
     ``mf(x)`` grades one point and ``mf.sample(xs)`` a whole array of
     points; the two agree bit for bit at every point. A subclass defines
-    ``__call__`` and ``support``; the five shapes also override ``sample``
-    with array arithmetic, and an override must keep that agreement and
-    stay inside ``[0, 1]``, since its grades are used unchecked.
+    ``__call__`` and ``support`` (the four linear shapes share one set in
+    ``_Linear``); an override of ``sample`` with array arithmetic must
+    keep that agreement and stay inside ``[0, 1]``, since its grades are
+    used unchecked.
     """
 
     def __call__(self, x: float) -> float:
@@ -177,8 +182,8 @@ class MembershipFunction:
         return grades
 
     def support(self) -> tuple[float, float]:
-        """Closure of ``{x : grade(x) > 0}`` as an interval; infinite ends
-        where the shape never reaches zero."""
+        """An interval outside which every grade is 0; infinite ends where
+        the shape stays positive."""
         raise NotImplementedError
 
     def _coerce(self, *names: str) -> None:
@@ -199,8 +204,39 @@ class MembershipFunction:
             )
 
 
+class _Linear(MembershipFunction):
+    """The four linear shapes as one trapezoid with feet ``a``, ``d`` and
+    plateau ``[b, c]``, a shoulder's open side at ``±inf``. Each shape sets
+    ``_corners = (a, b, c, d)`` at the end of ``__post_init__``, in a slot,
+    so that ``vars(mf)`` holds only the shape's fields."""
+
+    __slots__ = ("_corners",)
+
+    def __call__(self, x: float) -> float:
+        a, b, c, d = self._corners
+        if x < b:
+            if x <= a:
+                return 0.0
+            return (x - a) / (b - a)
+        if x <= c:
+            return 1.0
+        if x >= d:
+            return 0.0
+        return (d - x) / (d - c)
+
+    def sample(self, xs) -> np.ndarray:
+        return _ramps(xs, *self._corners)
+
+    def support(self) -> tuple[float, float]:
+        return (self._corners[0], self._corners[3])
+
+    def __reduce__(self):
+        # a frozen dataclass cannot restore slot state, so rebuild from fields
+        return (type(self), tuple(mf_parameters(self)))
+
+
 @dataclass(frozen=True)
-class Triangular(MembershipFunction):
+class Triangular(_Linear):
     """Triangle with feet ``a``, ``c`` and peak ``b``. Degenerate edges
     (``a == b`` or ``b == c``) evaluate as a vertical jump at the peak."""
 
@@ -218,25 +254,11 @@ class Triangular(MembershipFunction):
         if not self.a < self.c:
             raise ValidationError("triangular support must have positive width (a < c)")
         self._check_width(self.a, self.c)
-
-    def __call__(self, x: float) -> float:
-        if x == self.b:
-            return 1.0
-        if x <= self.a or x >= self.c:
-            return 0.0
-        if x < self.b:
-            return (x - self.a) / (self.b - self.a)
-        return (self.c - x) / (self.c - self.b)
-
-    def sample(self, xs) -> np.ndarray:
-        return _ramps(xs, self.a, self.b, self.b, self.c)
-
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.c)
+        object.__setattr__(self, "_corners", (self.a, self.b, self.b, self.c))
 
 
 @dataclass(frozen=True)
-class Trapezoidal(MembershipFunction):
+class Trapezoidal(_Linear):
     """Trapezoid with feet ``a``, ``d`` and plateau ``[b, c]``."""
 
     a: float
@@ -254,26 +276,18 @@ class Trapezoidal(MembershipFunction):
         if not self.a < self.d:
             raise ValidationError("trapezoidal support must have positive width (a < d)")
         self._check_width(self.a, self.d)
+        object.__setattr__(self, "_corners", (self.a, self.b, self.c, self.d))
 
-    def __call__(self, x: float) -> float:
-        if self.b <= x <= self.c:
-            return 1.0
-        if x <= self.a or x >= self.d:
-            return 0.0
-        if x < self.b:
-            return (x - self.a) / (self.b - self.a)
-        return (self.d - x) / (self.d - self.c)
 
-    def sample(self, xs) -> np.ndarray:
-        return _ramps(xs, self.a, self.b, self.c, self.d)
-
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.d)
+# Sigmas from the center past which a gaussian's float grade is 0: it
+# underflows at about 38.604, and the margin covers rounding.
+GAUSSIAN_REACH = 38.61
 
 
 @dataclass(frozen=True)
 class Gaussian(MembershipFunction):
-    """Bell curve ``exp(-(x - center)^2 / (2 sigma^2))``; never reaches zero.
+    """Bell curve ``exp(-(x - center)^2 / (2 sigma^2))``, whose float grade
+    is 0 beyond :data:`GAUSSIAN_REACH` sigmas: that bounds its support.
 
     Both forms use numpy's ``exp``: ``math.exp`` rounds differently on a
     few percent of arguments.
@@ -297,11 +311,12 @@ class Gaussian(MembershipFunction):
             return np.exp(-0.5 * z * z)
 
     def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
+        reach = GAUSSIAN_REACH * self.sigma
+        return (self.center - reach, self.center + reach)
 
 
 @dataclass(frozen=True)
-class ZShoulder(MembershipFunction):
+class ZShoulder(_Linear):
     """Left shoulder: grade 1 up to ``a``, falling linearly to 0 at ``b``."""
 
     a: float
@@ -312,23 +327,11 @@ class ZShoulder(MembershipFunction):
         if not self.a < self.b:
             raise ValidationError(f"shoulder needs a < b, got ({self.a}, {self.b})")
         self._check_width(self.a, self.b)
-
-    def __call__(self, x: float) -> float:
-        if x <= self.a:
-            return 1.0
-        if x >= self.b:
-            return 0.0
-        return (self.b - x) / (self.b - self.a)
-
-    def sample(self, xs) -> np.ndarray:
-        return _ramps(xs, -math.inf, -math.inf, self.a, self.b)
-
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, self.b)
+        object.__setattr__(self, "_corners", (-math.inf, -math.inf, self.a, self.b))
 
 
 @dataclass(frozen=True)
-class SShoulder(MembershipFunction):
+class SShoulder(_Linear):
     """Right shoulder: grade 0 up to ``a``, rising linearly to 1 at ``b``."""
 
     a: float
@@ -339,19 +342,7 @@ class SShoulder(MembershipFunction):
         if not self.a < self.b:
             raise ValidationError(f"shoulder needs a < b, got ({self.a}, {self.b})")
         self._check_width(self.a, self.b)
-
-    def __call__(self, x: float) -> float:
-        if x <= self.a:
-            return 0.0
-        if x >= self.b:
-            return 1.0
-        return (x - self.a) / (self.b - self.a)
-
-    def sample(self, xs) -> np.ndarray:
-        return _ramps(xs, self.a, self.b, math.inf, math.inf)
-
-    def support(self) -> tuple[float, float]:
-        return (self.a, math.inf)
+        object.__setattr__(self, "_corners", (self.a, self.b, math.inf, math.inf))
 
 
 def mf_parameters(mf: MembershipFunction) -> list[float]:

@@ -28,12 +28,14 @@ from .membership import (
 # as fit, and always at least one.
 CHUNK_ELEMENTS = 1 << 16
 
-_NO_MASS = "all grades are zero; no rule fired"
+# a ZeroMass error says which of the two ways an aggregate can be all zero
+_NO_RULE = "all grades are zero; no rule fired"
+_NO_SAMPLE = "all grades are zero; rules fired only onto terms zero at every output sample"
 
 
 class ZeroMassPolicy(Enum):
-    """What to do when no rule fires: fail loudly, or emit the output
-    universe's midpoint and flag the trace."""
+    """What to do when the aggregate is all zero: fail loudly, or emit the
+    output universe's midpoint and flag the trace."""
 
     ERROR = "error"
     MIDPOINT = "midpoint"
@@ -216,7 +218,7 @@ class Regulator:
         fallback = mass == 0.0
         if fallback:
             if self.zero_mass_policy is ZeroMassPolicy.ERROR:
-                raise ZeroMass(_NO_MASS)
+                raise ZeroMass(_NO_SAMPLE if any(strengths) else _NO_RULE)
             output = universe.midpoint
         return EvalTrace._trusted(
             x, clamped, np.array(grades), FuzzySet._trusted(universe, agg), output, fallback
@@ -226,8 +228,8 @@ class Regulator:
         """Crisp outputs for a vector of inputs, equal bit for bit to
         ``evaluate(x).output`` for each ``x``.
 
-        Inputs are clamped to the input universe and must be finite; when
-        no rule fires at an input, the zero-mass policy applies, and the
+        Inputs are clamped to the input universe and must be finite; where
+        the aggregate is all zero, the zero-mass policy applies, and the
         error names that input. Work runs in chunks of inputs, with scratch
         buffers of about ``CHUNK_ELEMENTS`` doubles each, allocated once
         per call: memory stays bounded however many inputs there are.
@@ -265,8 +267,9 @@ class Regulator:
                 empty = mass == 0.0
                 if empty.any():
                     if self.zero_mass_policy is ZeroMassPolicy.ERROR:
-                        x = float(xs[b0 + r0 + int(np.argmax(empty))])
-                        raise ZeroMass(f"at input {x}: {_NO_MASS}")
+                        i = int(np.argmax(empty))
+                        why = _NO_SAMPLE if w[:, i].any() else _NO_RULE
+                        raise ZeroMass(f"at input {float(xs[b0 + r0 + i])}: {why}")
                     y[empty] = universe.midpoint
                 outputs[b0 + r0:b0 + r0 + n] = y
         return outputs

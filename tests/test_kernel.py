@@ -116,6 +116,23 @@ class TestArrayForms:
         assert mf.sample(xs).tolist() == [mf(float(x)) for x in xs]
 
 
+class TestSupports:
+    """Every grade just beyond a finite end of ``support()`` is 0, in the
+    scalar and the array form, which is what the outside-the-universe
+    check of a linguistic variable relies on."""
+
+    gaussians = st.builds(Gaussian, magnitudes, st.floats(5e-324, sys.float_info.max))
+
+    @given(mf=shapes() | gaussians)
+    @settings(max_examples=400)
+    def test_no_grade_beyond_the_support(self, mf):
+        for end, away in zip(mf.support(), (-math.inf, math.inf)):
+            if math.isfinite(end):
+                x = math.nextafter(end, away)
+                assert mf(x) == 0.0
+                assert mf.sample([x]).tolist() == [0.0]
+
+
 @st.composite
 def regulators(draw, resolution=st.integers(2, 300)):
     """Small random controllers: mixed shapes, possibly coverage gaps,

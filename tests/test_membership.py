@@ -1,6 +1,9 @@
 """Membership shapes, universes, linguistic variables and fuzzification."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,9 +24,11 @@ from fuzzreg import (
     ValidationError,
     ZShoulder,
     discretize,
+    mf_parameters,
     reference_regulator,
     singleton_fuzzify,
 )
+from fuzzreg.membership import GAUSSIAN_REACH
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -184,6 +189,14 @@ class TestGaussian:
     def test_far_tail_underflows_to_zero(self):
         assert Gaussian(0.0, 1.0)(1e6) == 0.0
 
+    def test_support_ends_where_the_float_grade_is_zero(self):
+        assert np.exp(-0.5 * 38.6**2) > 0.0
+        assert np.exp(-0.5 * GAUSSIAN_REACH**2) == 0.0
+        assert Gaussian(3.0, 2.0).support() == (3.0 - 2 * GAUSSIAN_REACH, 3.0 + 2 * GAUSSIAN_REACH)
+
+    def test_support_of_a_huge_sigma_is_unbounded(self):
+        assert Gaussian(0.0, 1e308).support() == (-math.inf, math.inf)
+
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValidationError):
             Gaussian(0.0, 0.0)
@@ -285,11 +298,12 @@ class TestLinguisticVariable:
                 "v", Universe(0, 10, 5), (self._term("far", 200, 250, 300),)
             )
 
-    def test_gaussian_term_is_always_inside(self):
-        var = LinguisticVariable(
-            "v", Universe(0, 10, 5), (LinguisticTerm("g", Gaussian(500.0, 1.0)),)
-        )
-        assert var.term_names == ("g",)
+    def test_gaussian_term_outside_universe_rejected(self):
+        # every grade of this gaussian on [0, 10] is 0
+        with pytest.raises(ValidationError, match="entirely outside the universe"):
+            LinguisticVariable(
+                "v", Universe(0, 10, 5), (LinguisticTerm("g", Gaussian(500.0, 1.0)),)
+            )
 
     def test_empty_term_name_rejected(self):
         with pytest.raises(ValidationError):
@@ -371,3 +385,52 @@ class TestSingletonFuzzify:
         )
         base = singleton_fuzzify(x, var)
         assert singleton_fuzzify(x, shuffled).tolist() == base[perm].tolist()
+
+
+SHAPES = [
+    Triangular(0.0, 2.5, 5.0),
+    Trapezoidal(0.0, 1.0, 3.0, 5.0),
+    Gaussian(2.0, 0.7),
+    ZShoulder(1.0, 4.0),
+    SShoulder(1.0, 4.0),
+]
+COPIES = [
+    lambda obj: pickle.loads(pickle.dumps(obj)),
+    copy.deepcopy,
+    copy.copy,
+    dataclasses.replace,
+]
+COPY_IDS = ["pickle", "deepcopy", "copy", "replace"]
+
+
+class TestCopies:
+    """Copies of a shape or a regulator evaluate bit for bit like the
+    original, and a shape's instance dict holds only its fields."""
+
+    @pytest.mark.parametrize("mf", SHAPES, ids=lambda mf: type(mf).__name__)
+    @pytest.mark.parametrize("make_copy", COPIES, ids=COPY_IDS)
+    def test_shape(self, mf, make_copy):
+        twin = make_copy(mf)
+        assert twin == mf and type(twin) is type(mf)
+        assert list(vars(twin)) == [f.name for f in dataclasses.fields(mf)]
+        assert mf_parameters(twin) == mf_parameters(mf)
+        xs = np.linspace(-1.0, 6.0, 141)
+        assert twin.sample(xs).tolist() == mf.sample(xs).tolist()
+        assert [twin(x) for x in xs.tolist()] == [mf(x) for x in xs.tolist()]
+        assert twin.support() == mf.support()
+
+    def test_replace_moves_the_shape(self):
+        mf = dataclasses.replace(Triangular(0.0, 1.0, 2.0), c=4.0)
+        assert mf.support() == (0.0, 4.0)
+        assert mf(3.0) == Triangular(0.0, 1.0, 4.0)(3.0) == 1 / 3
+
+    @pytest.mark.parametrize("make_copy", COPIES, ids=COPY_IDS)
+    def test_regulator(self, make_copy):
+        reg = reference_regulator()
+        twin = make_copy(reg)
+        xs = np.linspace(-10.0, 110.0, 241)
+        assert twin.evaluate_many(xs).tolist() == reg.evaluate_many(xs).tolist()
+        assert [twin.evaluate(x).output for x in xs.tolist()] == [
+            reg.evaluate(x).output for x in xs.tolist()]
+        for term in twin.input_var.terms + twin.output_var.terms:
+            assert list(vars(term.mf)) == [f.name for f in dataclasses.fields(term.mf)]

@@ -218,6 +218,28 @@ class TestZeroMass:
         pairs = reg.sweep(3)
         assert pairs[1] == (50.0, 0.5)
 
+    def test_error_says_no_rule_fired(self):
+        reg = gap_regulator(ZeroMassPolicy.ERROR)
+        with pytest.raises(ZeroMass, match="no rule fired"):
+            reg.evaluate(50.0)
+        with pytest.raises(ZeroMass, match="at input 50.0: .*no rule fired"):
+            reg.evaluate_many([10.0, 50.0])
+
+    def test_error_says_a_rule_fired_onto_a_consequent_between_samples(self):
+        # the consequent lies between the samples 0.3 and 0.4, so its
+        # compiled row is all zero although its rule fires
+        vin = LinguisticVariable(
+            "in", Universe(0, 1, 11), (LinguisticTerm("up", Triangular(0, 1, 1)),)
+        )
+        vout = LinguisticVariable(
+            "out", Universe(0, 1, 11), (LinguisticTerm("thin", Triangular(0.31, 0.33, 0.35)),)
+        )
+        reg = Regulator(RuleBase(vin, vout, (Rule(0, 0),)))
+        for call in (lambda: reg.evaluate(0.9), lambda: reg.evaluate_many([0.9])):
+            with pytest.raises(ZeroMass, match="zero at every output sample") as info:
+                call()
+            assert "no rule fired" not in str(info.value)
+
 
 class TestSweep:
     def test_two_steps_hit_the_endpoints(self, ref):

@@ -28,13 +28,17 @@ from fuzzreg import (
     Universe,
     ValidationError,
     ZShoulder,
+    build_relation,
+    cri,
     defuzz_cog,
     discretize,
     emit_mf_plot_data,
+    infer,
     parse_config,
     reference_regulator,
     serialize_config,
     singleton_fuzzify,
+    union,
 )
 from fuzzreg.membership import MAX_SAMPLES, _count
 
@@ -314,3 +318,28 @@ class TestCallerArrays:
         assert stored(obj).ravel().tolist() == [0.1, 0.2, 0.3]
         with pytest.raises(ValueError):
             stored(obj)[0] = 0.5
+
+
+class TestGradeRule:
+    """The paper's API (cri, union, build_relation, infer) checks grades
+    by the public constructors' rule: numbers in [0, 1], or a
+    ValidationError, never a raw ValueError or a NaN result."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: cri([[0.5]], [7.0]), id="cri_activation_above_1"),
+        pytest.param(lambda: cri([[0.5]], [math.nan]), id="cri_nan_activation"),
+        pytest.param(lambda: cri([[0.5]], ["x"]), id="cri_string_activation"),
+        pytest.param(lambda: cri([[0.5]], [10**400]), id="cri_huge_integer_activation"),
+        pytest.param(lambda: cri([[0.5], [0.5, 0.2]], [1.0]), id="cri_ragged_relation"),
+        pytest.param(lambda: cri([[1.5]], [1.0]), id="cri_relation_above_1"),
+        pytest.param(lambda: union([2.0], [0.1]), id="union_above_1"),
+        pytest.param(lambda: build_relation([0.5], [-0.1]), id="build_relation_below_0"),
+        pytest.param(lambda: infer(reference_regulator().rulebase, [7.0, 0, 0, 0, 0],
+                                   reference_regulator().consequent_sets),
+                     id="infer_activation_above_1"),
+        pytest.param(lambda: FuzzySet(Universe(0, 1, 2), ["a", "b"]), id="fuzzyset_strings"),
+        pytest.param(lambda: FuzzyRelation([[0.5], [0.5, 0.2]]), id="fuzzyrelation_ragged"),
+    ])
+    def test_bad_grades_raise_validation_error(self, call):
+        with pytest.raises(ValidationError):
+            call()
