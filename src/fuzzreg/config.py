@@ -58,15 +58,10 @@ from .membership import (
 )
 from .regulator import Regulator, ZeroMassPolicy
 
+# a term's document type is its shape's class name, lowercased
 MF_TYPES: dict[str, type[MembershipFunction]] = {
-    "triangular": Triangular,
-    "trapezoidal": Trapezoidal,
-    "gaussian": Gaussian,
-    "zshoulder": ZShoulder,
-    "sshoulder": SShoulder,
+    cls.__name__.lower(): cls for cls in (Triangular, Trapezoidal, Gaussian, ZShoulder, SShoulder)
 }
-
-_MF_NAMES = {cls: name for name, cls in MF_TYPES.items()}
 
 # libyaml's classes when PyYAML was built with it, the pure-Python ones otherwise
 _SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -312,19 +307,19 @@ def load_config(path) -> Regulator:
     return parse_config(text)
 
 
+def _term_doc(term: LinguisticTerm) -> dict:
+    cls = type(term.mf)
+    if MF_TYPES.get(cls.__name__.lower()) is not cls:
+        raise ValidationError(f"term {term.name!r}: {cls.__name__} has no document type")
+    return {"name": term.name, "type": cls.__name__.lower(), "params": mf_parameters(term.mf)}
+
+
 def _variable_doc(var: LinguisticVariable) -> dict:
     return {
         "name": var.name,
         "range": [var.universe.min, var.universe.max],
         "samples": var.universe.n,
-        "terms": [
-            {
-                "name": term.name,
-                "type": _MF_NAMES[type(term.mf)],
-                "params": mf_parameters(term.mf),
-            }
-            for term in var.terms
-        ],
+        "terms": [_term_doc(term) for term in var.terms],
     }
 
 

@@ -62,5 +62,5 @@ def defuzz_cog(fset: FuzzySet) -> float:
     """
     mass, y = _cog_vector(fset.universe, fset.grades)
     if mass == 0.0:
-        raise ZeroMass("all grades are zero; no rule fired")
+        raise ZeroMass("all grades are zero")
     return y

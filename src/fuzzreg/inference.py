@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyRuleBase, ValidationError
-from .membership import FuzzySet, LinguisticVariable, _count, _grade_array
+from .membership import FuzzySet, LinguisticVariable, _count, _grade_array, _Rebuilt
 
 
 def _grades(values) -> np.ndarray:
@@ -26,7 +26,7 @@ def _grades(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class FuzzyRelation:
+class FuzzyRelation(_Rebuilt):
     """m x n matrix of grades; row i, column j holds the implication strength
     linking input sample i to output sample j."""
 
@@ -171,6 +171,8 @@ def infer(
             f"expected {len(rulebase.output_var.terms)} consequent sets, "
             f"got {len(consequents)}"
         )
+    if not all(isinstance(cons, FuzzySet) for cons in consequents):
+        raise ValidationError("consequent sets must be FuzzySet objects")
     universe = consequents[0].universe
     for cons in consequents[1:]:
         if cons.universe != universe:

@@ -20,11 +20,15 @@ from .errors import FuzzyError, InvalidUniverse, NonFiniteInput, ValidationError
 def _grade_array(values, what: str) -> np.ndarray:
     """A read-only float copy of a caller's ``values``, every one of which
     must be a number in ``[0, 1]``, else ``ValidationError``; the copy
-    leaves the caller's array writable."""
+    leaves the caller's array writable. As in ``evaluate_many``, numbers
+    means an integer or float dtype: not strings, not bools."""
     try:
-        arr = np.array(values, dtype=float, order="C")
+        arr = np.asarray(values)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be numbers in [0, 1] ({exc})") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be numbers in [0, 1], got dtype {arr.dtype}")
+    arr = np.array(arr, dtype=float, order="C")
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValidationError(f"{what} must lie in [0, 1]")
     arr.setflags(write=False)
@@ -61,6 +65,8 @@ def _real(value, what: str) -> float:
     scalars. Strings, bools and anything else raise ``ValidationError``;
     an integer too large for a double becomes an infinity, for the
     caller's finite check to reject."""
+    if type(value) is float:  # the common case, ahead of the slower checks
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{what} must be a number, got {value!r}")
     try:
@@ -69,8 +75,19 @@ def _real(value, what: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+class _Rebuilt:
+    """A dataclass whose copies and pickles go through its constructor, so
+    that their arrays are read-only and what it derives (a regulator's
+    compiled matrix, a shape's corners) is derived again, not copied."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init))
+
+
 @dataclass(frozen=True, eq=False)
-class Universe:
+class Universe(_Rebuilt):
     """Uniformly sampled base set of a linguistic variable.
 
     ``points`` is derived: ``n`` samples evenly spaced from ``min`` to
@@ -162,10 +179,11 @@ class MembershipFunction:
 
     ``mf(x)`` grades one point and ``mf.sample(xs)`` a whole array of
     points; the two agree bit for bit at every point. A subclass defines
-    ``__call__`` and ``support`` (the four linear shapes share one set in
-    ``_Linear``); an override of ``sample`` with array arithmetic must
-    keep that agreement and stay inside ``[0, 1]``, since its grades are
-    used unchecked.
+    ``__call__`` and ``support`` (the four linear shapes share one set,
+    and one parameter rule, in ``_Linear``); an override of ``sample``
+    with array arithmetic must keep that agreement and stay inside
+    ``[0, 1]``, since its grades are used unchecked. A subclass need not
+    be a dataclass, and copies of it follow Python's defaults.
     """
 
     def __call__(self, x: float) -> float:
@@ -196,21 +214,37 @@ class MembershipFunction:
             # would divide by -0.0 and flip the sign of its ramp
             object.__setattr__(self, name, value + 0.0)
 
-    def _check_width(self, lo: float, hi: float) -> None:
-        # a ramp across an overflowing width would divide by infinity
-        if not math.isfinite(hi - lo):
-            raise ValidationError(
-                f"{type(self).__name__} support width {hi} - ({lo}) overflows"
-            )
 
-
-class _Linear(MembershipFunction):
+class _Linear(_Rebuilt, MembershipFunction):
     """The four linear shapes as one trapezoid with feet ``a``, ``d`` and
-    plateau ``[b, c]``, a shoulder's open side at ``±inf``. Each shape sets
-    ``_corners = (a, b, c, d)`` at the end of ``__post_init__``, in a slot,
-    so that ``vars(mf)`` holds only the shape's fields."""
+    plateau ``[b, c]``, on one rule: a shape's fields are finite and
+    ascending, the first below the last by a finite width. Messages name
+    the shape by its document ``type``, the lowercased class name. Its
+    ``_CORNERS`` names the field at each corner, ``None`` for a shoulder's
+    open side at ``±inf``; the corners are kept in a slot, so that
+    ``vars(mf)`` holds only the shape's fields."""
 
     __slots__ = ("_corners",)
+    _CORNERS: tuple[str | None, ...]
+
+    def __post_init__(self) -> None:
+        names = self.__match_args__  # a dataclass's init fields, in order
+        self._coerce(*names)
+        values = [getattr(self, name) for name in names]
+        shape, lo, hi = type(self).__name__.lower(), values[0], values[-1]
+        if values != sorted(values):
+            order, got = " <= ".join(names), ", ".join(map(str, values))
+            raise ValidationError(f"{shape} parameters must satisfy {order}, got ({got})")
+        if not lo < hi:
+            raise ValidationError(
+                f"{shape} support must have positive width ({names[0]} < {names[-1]})"
+            )
+        # a ramp across an overflowing width would divide by infinity
+        if not math.isfinite(hi - lo):
+            raise ValidationError(f"{type(self).__name__} support width {hi} - ({lo}) overflows")
+        ends = (-math.inf, -math.inf, math.inf, math.inf)
+        corners = tuple(getattr(self, n) if n else e for n, e in zip(self._CORNERS, ends))
+        object.__setattr__(self, "_corners", corners)
 
     def __call__(self, x: float) -> float:
         a, b, c, d = self._corners
@@ -230,10 +264,6 @@ class _Linear(MembershipFunction):
     def support(self) -> tuple[float, float]:
         return (self._corners[0], self._corners[3])
 
-    def __reduce__(self):
-        # a frozen dataclass cannot restore slot state, so rebuild from fields
-        return (type(self), tuple(mf_parameters(self)))
-
 
 @dataclass(frozen=True)
 class Triangular(_Linear):
@@ -244,17 +274,7 @@ class Triangular(_Linear):
     b: float
     c: float
 
-    def __post_init__(self) -> None:
-        self._coerce("a", "b", "c")
-        if not (self.a <= self.b <= self.c):
-            raise ValidationError(
-                f"triangular parameters must satisfy a <= b <= c, got "
-                f"({self.a}, {self.b}, {self.c})"
-            )
-        if not self.a < self.c:
-            raise ValidationError("triangular support must have positive width (a < c)")
-        self._check_width(self.a, self.c)
-        object.__setattr__(self, "_corners", (self.a, self.b, self.b, self.c))
+    _CORNERS = ("a", "b", "b", "c")
 
 
 @dataclass(frozen=True)
@@ -266,17 +286,7 @@ class Trapezoidal(_Linear):
     c: float
     d: float
 
-    def __post_init__(self) -> None:
-        self._coerce("a", "b", "c", "d")
-        if not (self.a <= self.b <= self.c <= self.d):
-            raise ValidationError(
-                f"trapezoidal parameters must satisfy a <= b <= c <= d, got "
-                f"({self.a}, {self.b}, {self.c}, {self.d})"
-            )
-        if not self.a < self.d:
-            raise ValidationError("trapezoidal support must have positive width (a < d)")
-        self._check_width(self.a, self.d)
-        object.__setattr__(self, "_corners", (self.a, self.b, self.c, self.d))
+    _CORNERS = ("a", "b", "c", "d")
 
 
 # Sigmas from the center past which a gaussian's float grade is 0: it
@@ -322,12 +332,7 @@ class ZShoulder(_Linear):
     a: float
     b: float
 
-    def __post_init__(self) -> None:
-        self._coerce("a", "b")
-        if not self.a < self.b:
-            raise ValidationError(f"shoulder needs a < b, got ({self.a}, {self.b})")
-        self._check_width(self.a, self.b)
-        object.__setattr__(self, "_corners", (-math.inf, -math.inf, self.a, self.b))
+    _CORNERS = (None, None, "a", "b")
 
 
 @dataclass(frozen=True)
@@ -337,12 +342,7 @@ class SShoulder(_Linear):
     a: float
     b: float
 
-    def __post_init__(self) -> None:
-        self._coerce("a", "b")
-        if not self.a < self.b:
-            raise ValidationError(f"shoulder needs a < b, got ({self.a}, {self.b})")
-        self._check_width(self.a, self.b)
-        object.__setattr__(self, "_corners", (self.a, self.b, math.inf, math.inf))
+    _CORNERS = ("a", "b", None, None)
 
 
 def mf_parameters(mf: MembershipFunction) -> list[float]:
@@ -413,7 +413,7 @@ class LinguisticVariable:
 
 
 @dataclass(frozen=True, eq=False)
-class FuzzySet:
+class FuzzySet(_Rebuilt):
     """Vector of membership grades over a universe's sample points."""
 
     universe: Universe

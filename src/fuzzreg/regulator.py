@@ -22,6 +22,7 @@ from .membership import (
     _count,
     _grade_array,
     _real,
+    _Rebuilt,
 )
 
 # Doubles per scratch buffer in evaluate_many: a chunk holds as many inputs
@@ -42,7 +43,7 @@ class ZeroMassPolicy(Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class EvalTrace:
+class EvalTrace(_Rebuilt):
     """Every intermediate stage of one evaluation, for inspection and audit."""
 
     input: float
@@ -83,7 +84,7 @@ class EvalTrace:
 
 
 @dataclass(frozen=True)
-class Regulator:
+class Regulator(_Rebuilt):
     """Immutable single-input single-output Mamdani controller.
 
     Construction compiles the rule base: every consequent term is sampled

@@ -124,6 +124,12 @@ class TestValidationDiagnostics:
         with pytest.raises(ValidationError, match="wedge"):
             parse_config(text)
 
+    def test_mf_types_are_the_lowercased_class_names(self):
+        assert list(config_module.MF_TYPES) == [
+            "triangular", "trapezoidal", "gaussian", "zshoulder", "sshoulder"]
+        for name, cls in config_module.MF_TYPES.items():
+            assert name == cls.__name__.lower()
+
     def test_unknown_rule_term_is_named(self):
         text = with_lines({"{if: lo, then: big}": "{if: XX, then: big}"})
         with pytest.raises(ValidationError, match="XX"):

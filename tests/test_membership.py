@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fuzzreg import (
+    FuzzyRelation,
     FuzzySet,
     Gaussian,
     InvalidUniverse,
@@ -401,11 +402,28 @@ COPIES = [
     dataclasses.replace,
 ]
 COPY_IDS = ["pickle", "deepcopy", "copy", "replace"]
+VALUES = [
+    Universe(-1.0, 3.0, 9),
+    FuzzySet(Universe(0.0, 1.0, 3), [0.0, 0.5, 1.0]),
+    FuzzyRelation([[0.2, 1.0], [0.0, 0.5]]),
+    reference_regulator().evaluate(30.0),
+]
+
+
+def fields_of(obj):
+    """``obj``'s instance fields, a Universe's or FuzzySet's expanded in place."""
+    for name, value in vars(obj).items():
+        if isinstance(value, (Universe, FuzzySet)):
+            yield from ((f"{name}.{inner}", v) for inner, v in fields_of(value))
+        else:
+            yield name, value
 
 
 class TestCopies:
     """Copies of a shape or a regulator evaluate bit for bit like the
-    original, and a shape's instance dict holds only its fields."""
+    original, and a shape's instance dict holds only its fields. Every
+    value type is copied through its constructor, so its arrays stay
+    read-only and a regulator's consequent sets stay views of its matrix."""
 
     @pytest.mark.parametrize("mf", SHAPES, ids=lambda mf: type(mf).__name__)
     @pytest.mark.parametrize("make_copy", COPIES, ids=COPY_IDS)
@@ -424,10 +442,31 @@ class TestCopies:
         assert mf.support() == (0.0, 4.0)
         assert mf(3.0) == Triangular(0.0, 1.0, 4.0)(3.0) == 1 / 3
 
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("make_copy", COPIES, ids=COPY_IDS)
+    def test_value(self, value, make_copy):
+        twin = make_copy(value)
+        assert type(twin) is type(value)
+        theirs, ours = dict(fields_of(value)), dict(fields_of(twin))
+        assert list(ours) == list(theirs)
+        arrays = [name for name, v in ours.items() if isinstance(v, np.ndarray)]
+        assert arrays
+        for name in arrays:
+            assert ours[name].tolist() == theirs[name].tolist()
+            assert not ours[name].flags.writeable, name
+        assert {k: v for k, v in ours.items() if k not in arrays} == {
+            k: v for k, v in theirs.items() if k not in arrays}
+
     @pytest.mark.parametrize("make_copy", COPIES, ids=COPY_IDS)
     def test_regulator(self, make_copy):
         reg = reference_regulator()
         twin = make_copy(reg)
+        assert twin == reg
+        arrays = [twin._matrix, twin.output_universe.points, twin.output_universe.offsets]
+        arrays += [fset.grades for fset in twin.consequent_sets]
+        assert not any(a.flags.writeable for a in arrays)
+        # the consequent sets stay views of the compiled matrix
+        assert all(np.shares_memory(twin._matrix, s.grades) for s in twin.consequent_sets)
         xs = np.linspace(-10.0, 110.0, 241)
         assert twin.evaluate_many(xs).tolist() == reg.evaluate_many(xs).tolist()
         assert [twin.evaluate(x).output for x in xs.tolist()] == [

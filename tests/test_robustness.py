@@ -2,6 +2,7 @@
 one rule at every call site, and center of gravity stays exact at extreme
 magnitudes."""
 
+import copy
 import math
 import tracemalloc
 
@@ -158,14 +159,21 @@ class TestExtremeMagnitudes:
             Universe(-1e308, 1e308, 11)
 
     @pytest.mark.parametrize("make", [
-        lambda: Triangular(-1e308, 0, 1e308),
-        lambda: Trapezoidal(-1e308, 0, 0, 1e308),
-        lambda: ZShoulder(-1e308, 1e308),
-        lambda: SShoulder(-1e308, 1e308),
+        lambda lo, hi: Triangular(lo, 0, hi),
+        lambda lo, hi: Trapezoidal(lo, 0, 0, hi),
+        lambda lo, hi: ZShoulder(lo, hi),
+        lambda lo, hi: SShoulder(lo, hi),
     ])
     def test_shape_width_overflow_is_rejected(self, make):
+        # the four linear shapes share one rule: ascending parameters, the
+        # first below the last, a finite width; messages name the type
+        shape = type(make(0.0, 1.0)).__name__.lower()
+        with pytest.raises(ValidationError, match=f"^{shape} parameters must satisfy a <= b"):
+            make(1.0, -1.0)
+        with pytest.raises(ValidationError, match=f"^{shape} support must have positive width"):
+            make(0.0, 0.0)
         with pytest.raises(ValidationError, match="overflows"):
-            make()
+            make(-1e308, 1e308)
 
     def test_negative_zero_bounds_are_stored_as_zero(self):
         # center of gravity clamps to the bounds, with numpy in cog_rows and
@@ -200,12 +208,15 @@ class TestUserDefinedShapes:
         assert discretize(mf, u).grades.tolist() == [0, 0, 1, 1, 1]
         assert mf.sample(u.points).tolist() == [mf(x) for x in u.points.tolist()]
 
-    def test_regulator_compiles_a_user_defined_consequent(self):
+    def _regulator_with_step(self):
         ref = reference_regulator()
         out = ref.output_var
         vout = LinguisticVariable(out.name, out.universe,
                                   out.terms[:-1] + (LinguisticTerm("STEP", self.Step(0.9)),))
-        reg = Regulator(RuleBase(ref.input_var, vout, ref.rulebase.rules))
+        return Regulator(RuleBase(ref.input_var, vout, ref.rulebase.rules))
+
+    def test_regulator_compiles_a_user_defined_consequent(self):
+        reg = self._regulator_with_step()
         assert reg.consequent_sets[-1] == discretize(self.Step(0.9), reg.output_universe)
         assert reg.evaluate_many([0.0, 50.0]).tolist() == [
             reg.evaluate(0.0).output, reg.evaluate(50.0).output]
@@ -232,6 +243,17 @@ class TestUserDefinedShapes:
             reg.evaluate(50.0)
         with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
             reg.evaluate_many([50.0])
+
+    def test_regulator_with_a_user_defined_shape_deep_copies(self):
+        reg = self._regulator_with_step()
+        twin = copy.deepcopy(reg)
+        assert type(twin.output_var.terms[-1].mf) is self.Step
+        assert twin.evaluate_many([0.0, 50.0]).tolist() == reg.evaluate_many([0.0, 50.0]).tolist()
+        assert not twin._matrix.flags.writeable
+
+    def test_serializing_a_user_defined_shape_names_the_term(self):
+        with pytest.raises(ValidationError, match="term 'STEP': Step has no document type"):
+            serialize_config(self._regulator_with_step())
 
 
 class TestNumericInputs:
@@ -337,7 +359,12 @@ class TestGradeRule:
         pytest.param(lambda: infer(reference_regulator().rulebase, [7.0, 0, 0, 0, 0],
                                    reference_regulator().consequent_sets),
                      id="infer_activation_above_1"),
+        pytest.param(lambda: infer(reference_regulator().rulebase, [1, 0, 0, 0, 0],
+                                   [np.zeros(101)] * 5),
+                     id="infer_consequents_not_fuzzy_sets"),
         pytest.param(lambda: FuzzySet(Universe(0, 1, 2), ["a", "b"]), id="fuzzyset_strings"),
+        pytest.param(lambda: FuzzySet(Universe(0, 1, 2), ["0.5", "1"]),
+                     id="fuzzyset_numeric_strings"),
         pytest.param(lambda: FuzzyRelation([[0.5], [0.5, 0.2]]), id="fuzzyrelation_ragged"),
     ])
     def test_bad_grades_raise_validation_error(self, call):
