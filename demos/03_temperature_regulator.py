@@ -2,7 +2,7 @@
 The reference temperature regulator
 ===================================
 
-Walks the built-in five-term controller through the full pipeline: a crisp
+Walks the reference five-term controller through the full pipeline: a crisp
 temperature is fuzzified against the input terms, every fired rule clips
 its consequent, the clipped sets merge by max-union, and the center of
 gravity of the merged set is the crisp command. Cold readings produce big

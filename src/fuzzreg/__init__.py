@@ -37,15 +37,11 @@ from .config import (
     load_config,
     parse_config,
     reference_config_path,
+    reference_regulator,
     serialize_config,
 )
 from .plotdata import emit_mf_plot_data, emit_sweep_data, format_value
-from .regulator import (
-    EvalTrace,
-    Regulator,
-    ZeroMassPolicy,
-    reference_regulator,
-)
+from .regulator import EvalTrace, Regulator, ZeroMassPolicy
 
 __version__ = "0.1.0"
 

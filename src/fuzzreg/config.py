@@ -32,7 +32,6 @@ and collections nested deeper than ``MAX_DEPTH`` are rejected as
 
 from __future__ import annotations
 
-from dataclasses import fields
 from pathlib import Path
 
 import yaml
@@ -184,7 +183,7 @@ def _parse_term(doc, path: str) -> LinguisticTerm:
     raw = _require(term, "params", path)
     if not isinstance(raw, list):
         raise ValidationError(f"{path}.params: expected a list of numbers")
-    arity = len(fields(cls))
+    arity = len(cls.__match_args__)
     if len(raw) != arity:
         raise ValidationError(
             f"{path}.params: {type_name} takes {arity} parameters, got {len(raw)}"
@@ -347,3 +346,15 @@ def serialize_config(reg: Regulator) -> str:
 def reference_config_path() -> Path:
     """Location of the shipped reference controller file."""
     return Path(__file__).parent / "data" / "reference.yaml"
+
+
+def reference_regulator() -> Regulator:
+    """The five-term temperature controller of the shipped reference file.
+
+    Temperature runs over [0, 100] with terms TFJ (very low), TJ (low),
+    TM (medium), TI (high) and TFI (very high); the normalized command over
+    [0, 1] with terms CVS (very small) through CVB (very big). Adjacent
+    terms cross at grade 0.5 and each input term drives exactly one rule:
+    the colder the reading, the bigger the command.
+    """
+    return load_config(reference_config_path())

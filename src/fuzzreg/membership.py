@@ -10,24 +10,31 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FuzzyError, InvalidUniverse, NonFiniteInput, ValidationError
 
 
-def _grade_array(values, what: str) -> np.ndarray:
-    """A read-only float copy of a caller's ``values``, every one of which
-    must be a number in ``[0, 1]``, else ``ValidationError``; the copy
-    leaves the caller's array writable. As in ``evaluate_many``, numbers
-    means an integer or float dtype: not strings, not bools."""
+def _number_array(values, rule: str) -> np.ndarray:
+    """A caller's ``values`` as an array of an integer or float dtype: not
+    strings, not bools. Anything else, ragged nesting included, raises
+    ``ValidationError`` with the message ``rule``."""
     try:
         arr = np.asarray(values)
     except (OverflowError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be numbers in [0, 1] ({exc})") from None
+        raise ValidationError(f"{rule} ({exc})") from None
     if arr.dtype.kind not in "iuf":
-        raise ValidationError(f"{what} must be numbers in [0, 1], got dtype {arr.dtype}")
+        raise ValidationError(f"{rule}, got dtype {arr.dtype}")
+    return arr
+
+
+def _grade_array(values, what: str) -> np.ndarray:
+    """A read-only float copy of a caller's ``values``, every one of which
+    must be a number in ``[0, 1]``, else ``ValidationError``; the copy
+    leaves the caller's array writable."""
+    arr = _number_array(values, f"{what} must be numbers in [0, 1]")
     arr = np.array(arr, dtype=float, order="C")
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValidationError(f"{what} must lie in [0, 1]")
@@ -83,7 +90,7 @@ class _Rebuilt:
     __slots__ = ()
 
     def __reduce__(self):
-        return (type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init))
+        return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,8 +353,12 @@ class SShoulder(_Linear):
 
 
 def mf_parameters(mf: MembershipFunction) -> list[float]:
-    """Shape parameters in declaration order, e.g. ``[a, b, c]`` for a triangle."""
-    return [getattr(mf, f.name) for f in fields(mf)]
+    """Shape parameters in declaration order, e.g. ``[a, b, c]`` for a
+    triangle: a dataclass's init fields, which it lists in ``__match_args__``."""
+    names = getattr(mf, "__match_args__", None)
+    if names is None:
+        raise ValidationError(f"{type(mf).__name__} is not a dataclass: its parameters are unknown")
+    return [getattr(mf, name) for name in names]
 
 
 def _check_name(name, what: str) -> None:
@@ -471,4 +482,7 @@ def singleton_fuzzify(x0: float, var: LinguisticVariable) -> np.ndarray:
     if not math.isfinite(x):
         raise NonFiniteInput(f"crisp input must be finite, got {x0!r}")
     xc = var.universe.clamp(x)
-    return np.array([term.mf(xc) for term in var.terms])
+    grades = [term.mf(xc) for term in var.terms]
+    if not all(0.0 <= g <= 1.0 for g in grades):  # as Regulator.evaluate checks them
+        raise ValidationError(f"grades must lie in [0, 1], got {grades}")
+    return np.array(grades)

@@ -10,17 +10,14 @@ import numpy as np
 
 from .defuzz import _cog_vector, cog_rows
 from .errors import DimensionMismatch, NonFiniteInput, ValidationError, ZeroMass
-from .inference import Rule, RuleBase
+from .inference import RuleBase
 from .membership import (
     FuzzySet,
-    LinguisticTerm,
     LinguisticVariable,
-    SShoulder,
-    Triangular,
     Universe,
-    ZShoulder,
     _count,
     _grade_array,
+    _number_array,
     _real,
     _Rebuilt,
 )
@@ -235,10 +232,7 @@ class Regulator(_Rebuilt):
         buffers of about ``CHUNK_ELEMENTS`` doubles each, allocated once
         per call: memory stays bounded however many inputs there are.
         """
-        xs = np.asarray(xs)
-        if xs.dtype.kind not in "iuf":
-            raise ValidationError(f"crisp inputs must be real numbers, got dtype {xs.dtype}")
-        xs = xs.astype(float, copy=False)
+        xs = _number_array(xs, "crisp inputs must be real numbers").astype(float, copy=False)
         if xs.ndim != 1:
             raise DimensionMismatch(f"expected a vector of inputs, got shape {xs.shape}")
         finite = np.isfinite(xs)
@@ -282,38 +276,3 @@ class Regulator(_Rebuilt):
         u = self.input_var.universe
         xs = np.linspace(u.min, u.max, steps)
         return list(zip(xs.tolist(), self.evaluate_many(xs).tolist()))
-
-
-def reference_regulator() -> Regulator:
-    """The built-in five-term temperature controller.
-
-    Temperature runs over [0, 100] with terms TFJ (very low), TJ (low),
-    TM (medium), TI (high) and TFI (very high); the normalized command over
-    [0, 1] with terms CVS (very small) through CVB (very big). Adjacent
-    terms cross at grade 0.5 and each input term drives exactly one rule:
-    the colder the reading, the bigger the command.
-    """
-    temperature = LinguisticVariable(
-        "Temperature",
-        Universe(0.0, 100.0, 101),
-        (
-            LinguisticTerm("TFJ", ZShoulder(0.0, 25.0)),
-            LinguisticTerm("TJ", Triangular(0.0, 25.0, 50.0)),
-            LinguisticTerm("TM", Triangular(25.0, 50.0, 75.0)),
-            LinguisticTerm("TI", Triangular(50.0, 75.0, 100.0)),
-            LinguisticTerm("TFI", SShoulder(75.0, 100.0)),
-        ),
-    )
-    command = LinguisticVariable(
-        "Command",
-        Universe(0.0, 1.0, 101),
-        (
-            LinguisticTerm("CVS", ZShoulder(0.0, 0.25)),
-            LinguisticTerm("CS", Triangular(0.0, 0.25, 0.5)),
-            LinguisticTerm("CM", Triangular(0.25, 0.5, 0.75)),
-            LinguisticTerm("CB", Triangular(0.5, 0.75, 1.0)),
-            LinguisticTerm("CVB", SShoulder(0.75, 1.0)),
-        ),
-    )
-    rules = tuple(Rule(i, 4 - i) for i in range(5))
-    return Regulator(RuleBase(temperature, command, rules))

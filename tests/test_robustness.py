@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzreg import (
     EvalTrace,
@@ -35,6 +37,7 @@ from fuzzreg import (
     discretize,
     emit_mf_plot_data,
     infer,
+    mf_parameters,
     parse_config,
     reference_regulator,
     serialize_config,
@@ -240,6 +243,8 @@ class TestUserDefinedShapes:
                                  (LinguisticTerm("BAD", self.Step(0.0, high)),) + vin.terms[1:])
         reg = Regulator(RuleBase(vin, ref.output_var, ref.rulebase.rules))
         with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
+            singleton_fuzzify(50.0, vin)
+        with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
             reg.evaluate(50.0)
         with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
             reg.evaluate_many([50.0])
@@ -250,6 +255,10 @@ class TestUserDefinedShapes:
         assert type(twin.output_var.terms[-1].mf) is self.Step
         assert twin.evaluate_many([0.0, 50.0]).tolist() == reg.evaluate_many([0.0, 50.0]).tolist()
         assert not twin._matrix.flags.writeable
+
+    def test_parameters_of_a_shape_that_is_not_a_dataclass_are_unknown(self):
+        with pytest.raises(ValidationError, match="^Step is not a dataclass"):
+            mf_parameters(self.Step(0.5))
 
     def test_serializing_a_user_defined_shape_names_the_term(self):
         with pytest.raises(ValidationError, match="term 'STEP': Step has no document type"):
@@ -274,7 +283,8 @@ class TestNumericInputs:
             singleton_fuzzify(x, reference_regulator().input_var)
 
     @pytest.mark.parametrize("xs", [["5"], [True, False], np.array([1 + 2j]),
-                                    [None], [1.0, "2"]])
+                                    [None], [1.0, "2"], [1, [], 2], [[1.0], [2.0, 3.0]],
+                                    [[[1.0]], 2.0]])
     def test_evaluate_many_rejects_non_numeric_arrays(self, xs):
         with pytest.raises(ValidationError, match="crisp inputs must be real numbers"):
             reference_regulator().evaluate_many(xs)
@@ -370,3 +380,35 @@ class TestGradeRule:
     def test_bad_grades_raise_validation_error(self, call):
         with pytest.raises(ValidationError):
             call()
+
+    # what a caller might pass for grades or inputs: numbers of every kind
+    # (NaN, infinities and an integer too large for a double among them),
+    # strings, bools and None, in lists nested to any depth, ragged or not
+    anything = st.recursive(
+        st.one_of(st.floats(), st.integers(), st.just(10**400), st.booleans(),
+                  st.text(max_size=3), st.none()),
+        lambda children: st.lists(children, max_size=5),
+        max_leaves=12,
+    )
+    CALLS = {
+        "cri_relation": lambda v: cri(v, [1.0]),
+        "cri_activation": lambda v: cri([[0.5]], v),
+        "union": lambda v: union(v, v),
+        "build_relation": lambda v: build_relation(v, v),
+        "infer": lambda v, ref=reference_regulator(): infer(ref.rulebase, v, ref.consequent_sets),
+        "FuzzySet": lambda v: FuzzySet(Universe(0, 1, 2), v),
+        "FuzzyRelation": FuzzyRelation,
+        "EvalTrace": lambda v: EvalTrace(0.5, 0.5, v, FuzzySet(Universe(0, 1, 2), [0, 1]), 0.5),
+        "evaluate_many": reference_regulator().evaluate_many,
+    }
+
+    @settings(max_examples=500, deadline=None)
+    @given(call=st.sampled_from(sorted(CALLS)), value=anything)
+    def test_anything_gives_a_value_or_a_fuzzy_error(self, call, value):
+        try:
+            result = self.CALLS[call](value)
+        except FuzzyError:
+            return
+        for name in ("grades", "entries", "activations"):
+            result = getattr(result, name, result)
+        assert not np.isnan(result).any()
