@@ -56,21 +56,12 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_csv(path: str, what: str) -> np.ndarray:
+    """A headerless numeric CSV file as a 2-D array, or a ``what`` error."""
     try:
         return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:
-        raise ParseError(f"{path}: not a numeric CSV matrix ({exc})") from None
-
-
-def _load_vector(path: str) -> np.ndarray:
-    try:
-        data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:
-        raise ParseError(f"{path}: not a numeric CSV vector ({exc})") from None
-    if 1 not in data.shape:
-        raise ParseError(f"{path}: expected a single CSV row or column")
-    return data.reshape(-1)
+        raise ParseError(f"{path}: not a numeric CSV {what} ({exc})") from None
 
 
 def _cmd_eval(args) -> int:
@@ -112,8 +103,11 @@ def _cmd_mfplot(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    relation = FuzzyRelation(_load_matrix(args.relation))
-    out = cri(relation, _load_vector(args.ap))
+    relation = FuzzyRelation(_load_csv(args.relation, "matrix"))
+    ap = _load_csv(args.ap, "vector")
+    if 1 not in ap.shape:
+        raise ParseError(f"{args.ap}: expected a single CSV row or column")
+    out = cri(relation, ap.reshape(-1))
     print(",".join(format_value(g) for g in out))
     return EXIT_OK
 

@@ -230,20 +230,20 @@ def _parse_rules(doc, path: str, input_var, output_var) -> tuple[Rule, ...]:
         rule = _check_mapping(entry, rule_path, {"if", "then"})
         ant_name = _string(_require(rule, "if", rule_path), f"{rule_path}.if")
         cons_name = _string(_require(rule, "then", rule_path), f"{rule_path}.then")
-        try:
-            ant = input_var.term_index(ant_name)
-        except ValidationError:
-            raise ValidationError(
-                f"{rule_path}.if: unknown input term {ant_name!r}"
-            ) from None
-        try:
-            cons = output_var.term_index(cons_name)
-        except ValidationError:
-            raise ValidationError(
-                f"{rule_path}.then: unknown output term {cons_name!r}"
-            ) from None
-        rules.append(Rule(ant, cons))
+        rules.append(Rule(
+            _term_index(input_var, ant_name, f"{rule_path}.if: unknown input term"),
+            _term_index(output_var, cons_name, f"{rule_path}.then: unknown output term"),
+        ))
     return tuple(rules)
+
+
+def _term_index(var: LinguisticVariable, name: str, unknown: str) -> int:
+    """Index of the term ``name`` of ``var``; a name it lacks is a
+    ``ValidationError`` of ``unknown`` followed by the name."""
+    try:
+        return var.term_index(name)
+    except ValidationError:
+        raise ValidationError(f"{unknown} {name!r}") from None
 
 
 _TOP_KEYS = {"input", "output", "rules", "defuzzification", "zero_mass", "output_resolution"}

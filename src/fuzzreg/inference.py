@@ -130,16 +130,12 @@ class RuleBase:
             raise EmptyRuleBase("a rule base needs at least one rule")
         seen = set()
         for rule in self.rules:
-            if rule.antecedent >= len(self.input_var.terms):
-                raise ValidationError(
-                    f"rule antecedent index {rule.antecedent} is out of range for "
-                    f"variable {self.input_var.name!r}"
-                )
-            if rule.consequent >= len(self.output_var.terms):
-                raise ValidationError(
-                    f"rule consequent index {rule.consequent} is out of range for "
-                    f"variable {self.output_var.name!r}"
-                )
+            for side, var in (("antecedent", self.input_var), ("consequent", self.output_var)):
+                index = getattr(rule, side)
+                if index >= len(var.terms):
+                    raise ValidationError(
+                        f"rule {side} index {index} is out of range for variable {var.name!r}"
+                    )
             if rule.antecedent in seen:
                 name = self.input_var.terms[rule.antecedent].name
                 raise ValidationError(f"duplicate rule for input term {name!r}")

@@ -43,10 +43,13 @@ def _grade_array(values, what: str) -> np.ndarray:
 
 
 # The largest count _count accepts: universe samples, output resolution,
-# sweep steps and plot samples. One row of 2^20 doubles is 8 MiB, and a
-# regulator holds one row per output term, so a document cannot ask for
-# gigabytes; a larger count is rejected before anything is allocated.
+# sweep steps and plot samples. One row of 2^20 doubles is 8 MiB; a larger
+# count is rejected before anything is allocated.
 MAX_SAMPLES = 1 << 20
+
+# The most terms x samples cells a regulator compiles or a plot samples:
+# 128 MiB of doubles, where 128 terms at MAX_SAMPLES would be a gigabyte.
+MAX_CELLS = 1 << 24
 
 
 def _count(value, what: str, minimum: int, error: type[FuzzyError] = ValidationError) -> int:
@@ -64,6 +67,12 @@ def _count(value, what: str, minimum: int, error: type[FuzzyError] = ValidationE
     raise error(
         f"{what} must be a whole number from {minimum} to {MAX_SAMPLES}, got {value!r}"
     )
+
+
+def _check_cells(terms: int, samples: int, what: str) -> None:
+    """Reject more than :data:`MAX_CELLS` terms x samples before allocating."""
+    if terms * samples > MAX_CELLS:
+        raise ValidationError(f"{what} {samples} x {terms} terms exceeds MAX_CELLS ({MAX_CELLS})")
 
 
 def _real(value, what: str) -> float:
@@ -93,7 +102,7 @@ class _Rebuilt:
         return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Universe(_Rebuilt):
     """Uniformly sampled base set of a linguistic variable.
 
@@ -106,8 +115,8 @@ class Universe(_Rebuilt):
     min: float
     max: float
     n: int
-    points: np.ndarray = field(init=False, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # + 0.0 stores a -0.0 bound as 0.0: numpy's maximum and minimum
@@ -154,14 +163,6 @@ class Universe(_Rebuilt):
     def clamp(self, x: float) -> float:
         """Saturate a crisp value to the universe bounds."""
         return min(max(x, self.min), self.max)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Universe):
-            return NotImplemented
-        return (self.min, self.max, self.n) == (other.min, other.max, other.n)
-
-    def __hash__(self) -> int:
-        return hash((self.min, self.max, self.n))
 
 
 def _ramps(xs, a: float, b: float, c: float, d: float) -> np.ndarray:
@@ -248,7 +249,7 @@ class _Linear(_Rebuilt, MembershipFunction):
             )
         # a ramp across an overflowing width would divide by infinity
         if not math.isfinite(hi - lo):
-            raise ValidationError(f"{type(self).__name__} support width {hi} - ({lo}) overflows")
+            raise ValidationError(f"{shape} support width {hi} - ({lo}) overflows")
         ends = (-math.inf, -math.inf, math.inf, math.inf)
         corners = tuple(getattr(self, n) if n else e for n, e in zip(self._CORNERS, ends))
         object.__setattr__(self, "_corners", corners)
@@ -472,17 +473,27 @@ def discretize(mf: MembershipFunction, universe: Universe) -> FuzzySet:
     return FuzzySet._trusted(universe, mf.sample(universe.points))
 
 
+def _fuzzify(x0, mfs, lo: float, hi: float) -> tuple[float, float, list[float]]:
+    """``x0`` as a finite float, that value clamped to ``[lo, hi]``, and its
+    grade under each of ``mfs``, checked to lie in ``[0, 1]`` (a user-defined
+    shape's ``mf(x)`` is checked nowhere else)."""
+    # a float skips the type check: it is almost every call
+    x = x0 if type(x0) is float else _real(x0, "crisp input")
+    if not math.isfinite(x):
+        raise NonFiniteInput(f"crisp input must be finite, got {x0!r}")
+    clamped = min(max(x, lo), hi)
+    # the scalar shape forms equal the array forms evaluate_many uses
+    grades = [mf(clamped) for mf in mfs]
+    if not all(0.0 <= g <= 1.0 for g in grades):
+        raise ValidationError(f"grades must lie in [0, 1], got {grades}")
+    return x, clamped, grades
+
+
 def singleton_fuzzify(x0: float, var: LinguisticVariable) -> np.ndarray:
     """Grade a crisp value against every term of a variable.
 
     The value is clamped to the universe before evaluation, so out-of-range
     readings saturate instead of failing. Returns one grade per term.
     """
-    x = _real(x0, "crisp input")
-    if not math.isfinite(x):
-        raise NonFiniteInput(f"crisp input must be finite, got {x0!r}")
-    xc = var.universe.clamp(x)
-    grades = [term.mf(xc) for term in var.terms]
-    if not all(0.0 <= g <= 1.0 for g in grades):  # as Regulator.evaluate checks them
-        raise ValidationError(f"grades must lie in [0, 1], got {grades}")
-    return np.array(grades)
+    u = var.universe
+    return np.array(_fuzzify(x0, [term.mf for term in var.terms], u.min, u.max)[2])

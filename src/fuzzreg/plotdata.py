@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .membership import LinguisticVariable, _count
+from .membership import LinguisticVariable, _check_cells, _count
 
 
 # six significant digits, locale-independent, '.' decimal separator
@@ -22,17 +22,19 @@ def emit_mf_plot_data(var: LinguisticVariable, samples: int) -> str:
     Header is ``x,<term1>,...,<termk>``; one row per sample point.
     """
     samples = _count(samples, "plot samples", 2)
+    _check_cells(len(var.terms), samples, "plot samples")
     xs = np.linspace(var.universe.min, var.universe.max, samples)
     table = np.column_stack([xs] + [term.mf.sample(xs) for term in var.terms])
-    # one %-format per row is faster than format_value per value
-    row = ",".join([_FORMAT] * table.shape[1]) + "\n"
-    header = ",".join(["x"] + [term.name for term in var.terms]) + "\n"
-    return header + "".join(map(row.__mod__, map(tuple, table.tolist())))
+    return _csv(["x"] + [term.name for term in var.terms], table.tolist())
 
 
 def emit_sweep_data(pairs) -> str:
     """CSV of (input, output) response pairs with an ``input,output`` header."""
-    lines = ["input,output"]
-    for x, y in pairs:
-        lines.append(f"{format_value(x)},{format_value(y)}")
-    return "\n".join(lines) + "\n"
+    return _csv(["input", "output"], pairs)
+
+
+def _csv(header: list[str], rows) -> str:
+    """``header`` and ``rows`` as CSV lines, values printed with ``_FORMAT``."""
+    # one %-format per row is faster than format_value per value
+    row = ",".join([_FORMAT] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(map(row.__mod__, map(tuple, rows)))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -15,10 +14,11 @@ from .membership import (
     FuzzySet,
     LinguisticVariable,
     Universe,
+    _check_cells,
     _count,
+    _fuzzify,
     _grade_array,
     _number_array,
-    _real,
     _Rebuilt,
 )
 
@@ -102,6 +102,7 @@ class Regulator(_Rebuilt):
         out_var = self.rulebase.output_var
         res = out_var.universe.n if self.output_resolution is None else self.output_resolution
         object.__setattr__(self, "output_resolution", _count(res, "output_resolution", 2))
+        _check_cells(len(out_var.terms), self.output_resolution, "output_resolution")
         if not isinstance(self.zero_mass_policy, ZeroMassPolicy):
             raise ValidationError(f"unknown zero-mass policy {self.zero_mass_policy!r}")
 
@@ -181,6 +182,14 @@ class Regulator(_Rebuilt):
             np.minimum(strengths[j, r0:r1, None], matrix[j, c0:c1], out=clipped)
             np.maximum(agg[r0:r1, c0:c1], clipped, out=agg[r0:r1, c0:c1])
 
+    def _zero_mass(self, fired: bool, at: float | None = None) -> float:
+        """The output of an all-zero aggregate by the zero-mass policy, or
+        ``ZeroMass`` saying whether a rule ``fired``, at input ``at``."""
+        if self.zero_mass_policy is ZeroMassPolicy.ERROR:
+            why = _NO_SAMPLE if fired else _NO_RULE
+            raise ZeroMass(why if at is None else f"at input {at}: {why}")
+        return self._output_universe.midpoint
+
     def evaluate(self, x0: float) -> EvalTrace:
         """Run the full pipeline for one crisp input and keep every stage.
 
@@ -190,17 +199,7 @@ class Regulator(_Rebuilt):
         exact maxima, the clip the same exact minima and maxima, and the
         center of gravity ``defuzz_cog``'s form of the same sums.
         """
-        # a float skips the type check: it is almost every call
-        x = x0 if type(x0) is float else _real(x0, "crisp input")
-        if not math.isfinite(x):
-            raise NonFiniteInput(f"crisp input must be finite, got {x0!r}")
-        lo, hi = self._input_bounds
-        clamped = min(max(x, lo), hi)
-        # the scalar shape forms equal the array forms evaluate_many uses
-        grades = [mf(clamped) for mf in self._input_mfs]
-        # a user-defined shape's mf(x) is not checked anywhere else
-        if not all(0.0 <= g <= 1.0 for g in grades):
-            raise ValidationError(f"grades must lie in [0, 1], got {grades}")
+        x, clamped, grades = _fuzzify(x0, self._input_mfs, *self._input_bounds)
         # each term's strength as _strengths takes it
         strengths = [0.0] * len(self._matrix)
         for a, c in self._rule_pairs:
@@ -215,9 +214,7 @@ class Regulator(_Rebuilt):
         mass, output = _cog_vector(universe, agg)
         fallback = mass == 0.0
         if fallback:
-            if self.zero_mass_policy is ZeroMassPolicy.ERROR:
-                raise ZeroMass(_NO_SAMPLE if any(strengths) else _NO_RULE)
-            output = universe.midpoint
+            output = self._zero_mass(any(strengths))
         return EvalTrace._trusted(
             x, clamped, np.array(grades), FuzzySet._trusted(universe, agg), output, fallback
         )
@@ -239,9 +236,8 @@ class Regulator(_Rebuilt):
         if not finite.all():
             bad = xs[int(np.argmin(finite))]
             raise NonFiniteInput(f"crisp input must be finite, got {float(bad)!r}")
-        u_in = self.input_var.universe
         universe = self._output_universe
-        clamped = np.clip(xs, u_in.min, u_in.max)
+        clamped = np.clip(xs, *self._input_bounds)
         outputs = np.empty(xs.shape[0])
         n_out, n_in = len(self._matrix), len(self._input_mfs)
         rows = max(1, min(xs.shape[0], CHUNK_ELEMENTS // universe.n))
@@ -261,11 +257,8 @@ class Regulator(_Rebuilt):
                 mass, y = cog_rows(universe, agg[:n], tmp[:n])
                 empty = mass == 0.0
                 if empty.any():
-                    if self.zero_mass_policy is ZeroMassPolicy.ERROR:
-                        i = int(np.argmax(empty))
-                        why = _NO_SAMPLE if w[:, i].any() else _NO_RULE
-                        raise ZeroMass(f"at input {float(xs[b0 + r0 + i])}: {why}")
-                    y[empty] = universe.midpoint
+                    i = int(np.argmax(empty))
+                    y[empty] = self._zero_mass(w[:, i].any(), float(xs[b0 + r0 + i]))
                 outputs[b0 + r0:b0 + r0 + n] = y
         return outputs
 

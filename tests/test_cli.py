@@ -175,6 +175,22 @@ class TestInfer:
         )
         assert out == expected.tolist()
 
+    def test_ap_as_a_row_or_a_column(self, tmp_path, worked_files, capsys):
+        rel, ap = worked_files
+        column = tmp_path / "column.csv"
+        column.write_text(WORKED_AP.replace(",", "\n"))
+        assert cli_main(["infer", "--relation", rel, "--ap", ap]) == 0
+        row_out = capsys.readouterr().out
+        assert cli_main(["infer", "--relation", rel, "--ap", str(column)]) == 0
+        assert capsys.readouterr().out == row_out
+
+    def test_ap_matrix_exits_1(self, tmp_path, worked_files, capsys):
+        rel, _ = worked_files
+        square = tmp_path / "square.csv"
+        square.write_text("1,0\n0,1\n")
+        assert cli_main(["infer", "--relation", rel, "--ap", str(square)]) == 1
+        assert "expected a single CSV row or column" in capsys.readouterr().err
+
     def test_dimension_mismatch_exits_2(self, tmp_path, worked_files, capsys):
         rel, _ = worked_files
         short = tmp_path / "short.csv"

@@ -25,10 +25,12 @@ from fuzzreg import (
     Regulator,
     Rule,
     RuleBase,
+    SShoulder,
     Triangular,
     Universe,
     ValidationError,
     ZeroMassPolicy,
+    ZShoulder,
     load_config,
     parse_config,
     reference_config_path,
@@ -82,7 +84,23 @@ class TestParse:
         assert reg.output_resolution == 21
 
     def test_shipped_reference_file_equals_builtin(self):
-        assert load_config(reference_config_path()) == reference_regulator()
+        # the document is the controller's only definition, so a literal of
+        # its terms and rules pins it here
+        def variable(name, hi, terms):
+            return LinguisticVariable(name, Universe(0.0, hi, 101),
+                                      tuple(LinguisticTerm(*t) for t in terms))
+
+        temperature = variable("Temperature", 100.0, [
+            ("TFJ", ZShoulder(0.0, 25.0)), ("TJ", Triangular(0.0, 25.0, 50.0)),
+            ("TM", Triangular(25.0, 50.0, 75.0)), ("TI", Triangular(50.0, 75.0, 100.0)),
+            ("TFI", SShoulder(75.0, 100.0))])
+        command = variable("Command", 1.0, [
+            ("CVS", ZShoulder(0.0, 0.25)), ("CS", Triangular(0.0, 0.25, 0.5)),
+            ("CM", Triangular(0.25, 0.5, 0.75)), ("CB", Triangular(0.5, 0.75, 1.0)),
+            ("CVB", SShoulder(0.75, 1.0))])
+        rules = (Rule(0, 4), Rule(1, 3), Rule(2, 2), Rule(3, 1), Rule(4, 0))
+        expected = Regulator(RuleBase(temperature, command, rules), output_resolution=101)
+        assert load_config(reference_config_path()) == expected
 
     def test_round_trip_of_builtin(self):
         reg = reference_regulator()
@@ -132,12 +150,12 @@ class TestValidationDiagnostics:
 
     def test_unknown_rule_term_is_named(self):
         text = with_lines({"{if: lo, then: big}": "{if: XX, then: big}"})
-        with pytest.raises(ValidationError, match="XX"):
+        with pytest.raises(ValidationError, match=r"^rules\[0\]\.if: unknown input term 'XX'$"):
             parse_config(text)
 
     def test_unknown_consequent_term_is_named(self):
         text = with_lines({"{if: hi, then: small}": "{if: hi, then: XL}"})
-        with pytest.raises(ValidationError, match="XL"):
+        with pytest.raises(ValidationError, match=r"^rules\[1\]\.then: unknown output term 'XL'$"):
             parse_config(text)
 
     def test_out_of_order_params_point_at_the_field(self):

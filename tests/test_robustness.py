@@ -44,7 +44,7 @@ from fuzzreg import (
     singleton_fuzzify,
     union,
 )
-from fuzzreg.membership import MAX_SAMPLES, _count
+from fuzzreg.membership import MAX_CELLS, MAX_SAMPLES, _count
 
 NOT_COUNTS = [math.inf, -math.inf, math.nan, 2.5, True, "7", None]
 
@@ -112,6 +112,32 @@ class TestCountValidator:
         # one row of MAX_SAMPLES doubles would be 8 MiB
         assert peak < (1 << 20)
 
+    @pytest.mark.parametrize("call", [
+        lambda var, n: Regulator(RuleBase(reference_regulator().input_var, var, (Rule(0, 0),)),
+                                 output_resolution=n),
+        lambda var, n: emit_mf_plot_data(var, n),
+        lambda var, n: parse_config(serialize_config(Regulator(RuleBase(
+            reference_regulator().input_var, var, (Rule(0, 0),)), output_resolution=3)).replace(
+            "output_resolution: 3", f"output_resolution: {n}")),
+    ], ids=["output_resolution", "plot", "config_output_resolution"])
+    def test_cells_past_the_cap_are_rejected_before_allocating(self, call):
+        # 17 terms at MAX_SAMPLES each pass the count rule, but not MAX_CELLS
+        var = LinguisticVariable("y", Universe(0, 17, 11), tuple(
+            LinguisticTerm(f"t{i}", Triangular(i, i + 0.5, i + 1)) for i in range(17)))
+        call(var, 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=(
+                    rf"^(output_resolution|plot samples) {MAX_SAMPLES} x 17 terms "
+                    rf"exceeds MAX_CELLS \({MAX_CELLS}\)")):
+                call(var, MAX_SAMPLES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 17 rows of MAX_SAMPLES doubles would be 136 MiB
+        assert peak < (1 << 20)
+        assert 16 * MAX_SAMPLES <= MAX_CELLS < 17 * MAX_SAMPLES
+
     def test_every_error_is_a_fuzzy_error(self):
         for call in (
             lambda: reference_regulator().sweep(math.inf),
@@ -175,7 +201,7 @@ class TestExtremeMagnitudes:
             make(1.0, -1.0)
         with pytest.raises(ValidationError, match=f"^{shape} support must have positive width"):
             make(0.0, 0.0)
-        with pytest.raises(ValidationError, match="overflows"):
+        with pytest.raises(ValidationError, match=f"^{shape} support width .* overflows"):
             make(-1e308, 1e308)
 
     def test_negative_zero_bounds_are_stored_as_zero(self):
@@ -248,6 +274,24 @@ class TestUserDefinedShapes:
             reg.evaluate(50.0)
         with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
             reg.evaluate_many([50.0])
+
+    @pytest.mark.parametrize("x0, high", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), ("x", 1.0), (True, 1.0),
+        (10**400, 1.0), (50.0, 1.5),
+    ], ids=["nan", "inf", "-inf", "str", "bool", "huge_int", "grade_1.5"])
+    def test_evaluate_and_singleton_fuzzify_fail_alike(self, x0, high):
+        # both grade a crisp input by one rule, so they reject it in one way
+        ref = reference_regulator()
+        vin = ref.input_var
+        vin = LinguisticVariable(vin.name, vin.universe,
+                                 (LinguisticTerm("STEP", self.Step(0.0, high)),) + vin.terms[1:])
+        reg = Regulator(RuleBase(vin, ref.output_var, ref.rulebase.rules))
+        errors = []
+        for call in (lambda: reg.evaluate(x0), lambda: singleton_fuzzify(x0, vin)):
+            with pytest.raises(FuzzyError) as info:
+                call()
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
 
     def test_regulator_with_a_user_defined_shape_deep_copies(self):
         reg = self._regulator_with_step()
