@@ -42,15 +42,11 @@ from yaml.events import CollectionEndEvent, CollectionStartEvent
 from .errors import InvalidUniverse, ParseError, ValidationError
 from .inference import Rule, RuleBase
 from .membership import (
-    Gaussian,
     LinguisticTerm,
     LinguisticVariable,
     MembershipFunction,
-    SShoulder,
-    Trapezoidal,
-    Triangular,
     Universe,
-    ZShoulder,
+    _SHAPE_CLASSES,
     _count,
     _real,
     mf_parameters,
@@ -59,7 +55,7 @@ from .regulator import Regulator, ZeroMassPolicy
 
 # a term's document type is its shape's class name, lowercased
 MF_TYPES: dict[str, type[MembershipFunction]] = {
-    cls.__name__.lower(): cls for cls in (Triangular, Trapezoidal, Gaussian, ZShoulder, SShoulder)
+    cls.__name__.lower(): cls for cls in _SHAPE_CLASSES
 }
 
 # libyaml's classes when PyYAML was built with it, the pure-Python ones otherwise

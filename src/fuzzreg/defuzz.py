@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroMass
-from .membership import FuzzySet, Universe
+from .membership import FuzzySet, Universe, _instance
 
 _TINY = 5e-324
 
@@ -60,6 +60,7 @@ def defuzz_cog(fset: FuzzySet) -> float:
     This is the computation :meth:`Regulator.evaluate` runs, so it
     reproduces a trace's output bit for bit from its aggregated set.
     """
+    _instance(fset, FuzzySet, "defuzz_cog argument")
     mass, y = _cog_vector(fset.universe, fset.grades)
     if mass == 0.0:
         raise ZeroMass("all grades are zero")

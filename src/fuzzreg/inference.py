@@ -9,13 +9,14 @@ whole rule base into a fuzzy command set.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyRuleBase, ValidationError
-from .membership import FuzzySet, LinguisticVariable, _count, _grade_array, _Rebuilt
+from .membership import FuzzySet, LinguisticVariable, _count, _grade_array, _instance, _Rebuilt
 
 
 def _grades(values) -> np.ndarray:
@@ -156,12 +157,13 @@ def infer(
     combined by max-union. The clipping shortcut is equivalent to building
     the rule's implication matrix and composing with a crisp singleton.
     """
+    _instance(rulebase, RuleBase, "infer rule base")
     acts = _grades(activations)
     if acts.shape[0] != len(rulebase.input_var.terms):
         raise DimensionMismatch(
             f"expected {len(rulebase.input_var.terms)} activations, got {acts.shape[0]}"
         )
-    consequents = tuple(consequents)
+    consequents = tuple(_instance(consequents, Iterable, "infer consequent sets"))
     if len(consequents) != len(rulebase.output_var.terms):
         raise DimensionMismatch(
             f"expected {len(rulebase.output_var.terms)} consequent sets, "

@@ -30,6 +30,14 @@ def _number_array(values, rule: str) -> np.ndarray:
     return arr
 
 
+def _instance(value, cls, what: str):
+    """``value`` if it is an instance of ``cls``, else ``ValidationError``:
+    the check of every public argument that takes an object, not numbers."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _grade_array(values, what: str) -> np.ndarray:
     """A read-only float copy of a caller's ``values``, every one of which
     must be a number in ``[0, 1]``, else ``ValidationError``; the copy
@@ -165,9 +173,10 @@ class Universe(_Rebuilt):
         return min(max(x, self.min), self.max)
 
 
-def _ramps(xs, a: float, b: float, c: float, d: float) -> np.ndarray:
+def _ramps(xs, a, b, c, d) -> np.ndarray:
     """Grades of the trapezoid with feet ``a``, ``d`` and plateau ``[b, c]``
-    at every point of ``xs``, from the ramp expressions the scalar forms use.
+    at every point of ``xs``, from the ramp expressions the scalar forms use;
+    corners given as ``(k, 1)`` arrays grade ``k`` trapezoids, one per row.
 
     A vertical edge divides by zero (``±inf``, or NaN at the edge itself)
     and an open side of ``±inf`` gives NaN; ``fmin`` takes the other ramp
@@ -179,6 +188,14 @@ def _ramps(xs, a: float, b: float, c: float, d: float) -> np.ndarray:
         falling = (d - xs) / (d - c)
         np.fmin(rising, falling, out=rising)
         return np.clip(rising, 0.0, 1.0, out=rising)
+
+
+def _bell(xs, center, sigma) -> np.ndarray:
+    """Grades of the gaussian at ``center`` with width ``sigma`` at every
+    point of ``xs``; ``(g, 1)`` arrays grade ``g`` gaussians, as in ``_ramps``."""
+    with np.errstate(all="ignore"):
+        z = (np.asarray(xs, dtype=float) - center) / sigma
+        return np.exp(-0.5 * z * z)
 
 
 class MembershipFunction:
@@ -324,9 +341,7 @@ class Gaussian(MembershipFunction):
         return float(np.exp(-0.5 * z * z))
 
     def sample(self, xs) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            z = (np.asarray(xs, dtype=float) - self.center) / self.sigma
-            return np.exp(-0.5 * z * z)
+        return _bell(xs, self.center, self.sigma)
 
     def support(self) -> tuple[float, float]:
         reach = GAUSSIAN_REACH * self.sigma
@@ -351,6 +366,34 @@ class SShoulder(_Linear):
     b: float
 
     _CORNERS = ("a", "b", None, None)
+
+
+# the five built-in shapes, whose grades lie in [0, 1] by construction
+_SHAPE_CLASSES = (Triangular, Trapezoidal, Gaussian, ZShoulder, SShoulder)
+
+
+def _families(mfs) -> tuple:
+    """``(rows, sample, params)`` triples: ``sample(xs, *params)`` grades
+    ``xs`` under the shapes at ``rows`` of ``mfs``, equal bit for bit to
+    their own ``sample(xs)``. Shapes whose class keeps ``_Linear.sample``
+    share one ``_ramps`` call and those that keep ``Gaussian.sample`` one
+    ``_bell`` call (the class is tested, since a subclass may override
+    ``sample``); any other shape keeps its own ``sample``."""
+    linear, bells, families = [], [], []
+    for i, mf in enumerate(mfs):
+        if type(mf).sample is _Linear.sample:
+            linear.append(i)
+        elif type(mf).sample is Gaussian.sample:
+            bells.append(i)
+        else:
+            families.append((i, mf.sample, ()))
+    if linear:
+        corners = np.array([mfs[i]._corners for i in linear]).T[:, :, None]
+        families.append((np.array(linear), _ramps, tuple(corners)))
+    if bells:
+        params = np.array([(mfs[i].center, mfs[i].sigma) for i in bells]).T[:, :, None]
+        families.append((np.array(bells), _bell, tuple(params)))
+    return tuple(families)
 
 
 def mf_parameters(mf: MembershipFunction) -> list[float]:
@@ -432,6 +475,7 @@ class FuzzySet(_Rebuilt):
     grades: np.ndarray
 
     def __post_init__(self) -> None:
+        _instance(self.universe, Universe, "fuzzy set universe")
         g = _grade_array(self.grades, "grades")
         if g.ndim != 1 or g.shape[0] != self.universe.n:
             raise ValidationError(
@@ -470,13 +514,16 @@ class FuzzySet(_Rebuilt):
 
 def discretize(mf: MembershipFunction, universe: Universe) -> FuzzySet:
     """Sample a membership function over a universe's points."""
+    _instance(mf, MembershipFunction, "discretize shape")
+    _instance(universe, Universe, "discretize universe")
     return FuzzySet._trusted(universe, mf.sample(universe.points))
 
 
-def _fuzzify(x0, mfs, lo: float, hi: float) -> tuple[float, float, list[float]]:
+def _fuzzify(x0, mfs, lo: float, hi: float, check=True) -> tuple[float, float, list[float]]:
     """``x0`` as a finite float, that value clamped to ``[lo, hi]``, and its
-    grade under each of ``mfs``, checked to lie in ``[0, 1]`` (a user-defined
-    shape's ``mf(x)`` is checked nowhere else)."""
+    grade under each of ``mfs``, checked to lie in ``[0, 1]`` unless
+    ``check`` is false (a user-defined shape's ``mf(x)`` is checked nowhere
+    else; a caller skips the check only for ``_SHAPE_CLASSES``)."""
     # a float skips the type check: it is almost every call
     x = x0 if type(x0) is float else _real(x0, "crisp input")
     if not math.isfinite(x):
@@ -484,7 +531,7 @@ def _fuzzify(x0, mfs, lo: float, hi: float) -> tuple[float, float, list[float]]:
     clamped = min(max(x, lo), hi)
     # the scalar shape forms equal the array forms evaluate_many uses
     grades = [mf(clamped) for mf in mfs]
-    if not all(0.0 <= g <= 1.0 for g in grades):
+    if check and not all(0.0 <= g <= 1.0 for g in grades):
         raise ValidationError(f"grades must lie in [0, 1], got {grades}")
     return x, clamped, grades
 
@@ -495,5 +542,5 @@ def singleton_fuzzify(x0: float, var: LinguisticVariable) -> np.ndarray:
     The value is clamped to the universe before evaluation, so out-of-range
     readings saturate instead of failing. Returns one grade per term.
     """
-    u = var.universe
+    u = _instance(var, LinguisticVariable, "singleton_fuzzify variable").universe
     return np.array(_fuzzify(x0, [term.mf for term in var.terms], u.min, u.max)[2])

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .membership import LinguisticVariable, _check_cells, _count
+from .errors import ValidationError
+from .membership import LinguisticVariable, _check_cells, _count, _instance
 
 
 # six significant digits, locale-independent, '.' decimal separator
@@ -21,6 +22,7 @@ def emit_mf_plot_data(var: LinguisticVariable, samples: int) -> str:
 
     Header is ``x,<term1>,...,<termk>``; one row per sample point.
     """
+    _instance(var, LinguisticVariable, "plot variable")
     samples = _count(samples, "plot samples", 2)
     _check_cells(len(var.terms), samples, "plot samples")
     xs = np.linspace(var.universe.min, var.universe.max, samples)
@@ -30,7 +32,17 @@ def emit_mf_plot_data(var: LinguisticVariable, samples: int) -> str:
 
 def emit_sweep_data(pairs) -> str:
     """CSV of (input, output) response pairs with an ``input,output`` header."""
-    return _csv(["input", "output"], pairs)
+    pairs = list(pairs)
+    try:
+        return _csv(["input", "output"], pairs)
+    except (OverflowError, TypeError, ValueError):
+        # name the first pair that the row format cannot print
+        for i, pair in enumerate(pairs):
+            try:
+                _csv(["input", "output"], [pair])
+            except (OverflowError, TypeError, ValueError):
+                raise ValidationError(f"sweep pair {i} must be two numbers, got {pair!r}") from None
+        raise
 
 
 def _csv(header: list[str], rows) -> str:

@@ -14,10 +14,13 @@ from .membership import (
     FuzzySet,
     LinguisticVariable,
     Universe,
+    _SHAPE_CLASSES,
     _check_cells,
     _count,
+    _families,
     _fuzzify,
     _grade_array,
+    _instance,
     _number_array,
     _Rebuilt,
 )
@@ -98,7 +101,7 @@ class Regulator(_Rebuilt):
     zero_mass_policy: ZeroMassPolicy = ZeroMassPolicy.ERROR
 
     def __post_init__(self) -> None:
-        in_var = self.rulebase.input_var
+        in_var = _instance(self.rulebase, RuleBase, "regulator rule base").input_var
         out_var = self.rulebase.output_var
         res = out_var.universe.n if self.output_resolution is None else self.output_resolution
         object.__setattr__(self, "output_resolution", _count(res, "output_resolution", 2))
@@ -123,7 +126,14 @@ class Regulator(_Rebuilt):
         object.__setattr__(self, "_output_universe", universe)
         object.__setattr__(self, "_matrix", consequents)
         object.__setattr__(self, "_spans", tuple(spans))
-        object.__setattr__(self, "_input_mfs", tuple(term.mf for term in in_var.terms))
+        input_mfs = tuple(term.mf for term in in_var.terms)
+        object.__setattr__(self, "_input_mfs", input_mfs)
+        object.__setattr__(self, "_input_families", _families(input_mfs))
+        # only a user-defined shape's grades need evaluate's [0, 1] check; a
+        # subclass of a built-in one may override __call__, so test the class
+        object.__setattr__(
+            self, "_check_grades", not all(type(mf) in _SHAPE_CLASSES for mf in input_mfs)
+        )
         object.__setattr__(self, "_input_bounds", (in_var.universe.min, in_var.universe.max))
         object.__setattr__(self, "_rule_pairs", tuple((r.antecedent, r.consequent) for r in rules))
         object.__setattr__(
@@ -149,6 +159,16 @@ class Regulator(_Rebuilt):
         """Cached discretization of each output term, in term order; each
         is a read-only view of one row of the compiled consequent matrix."""
         return self._consequents
+
+    def _activations(self, xs: np.ndarray) -> np.ndarray:
+        """Grade of every input in ``xs`` under every input term, input
+        terms x inputs: one call per shape family, not one per term (see
+        ``membership._families``), equal bit for bit to each term's
+        ``sample``."""
+        activations = np.empty((len(self._input_mfs), xs.shape[0]))
+        for rows, sample, params in self._input_families:
+            activations[rows] = sample(xs, *params)
+        return activations
 
     def _strengths(self, activations: np.ndarray) -> np.ndarray:
         """Firing strength of every output term, output terms x inputs: the
@@ -199,7 +219,7 @@ class Regulator(_Rebuilt):
         exact maxima, the clip the same exact minima and maxima, and the
         center of gravity ``defuzz_cog``'s form of the same sums.
         """
-        x, clamped, grades = _fuzzify(x0, self._input_mfs, *self._input_bounds)
+        x, clamped, grades = _fuzzify(x0, self._input_mfs, *self._input_bounds, self._check_grades)
         # each term's strength as _strengths takes it
         strengths = [0.0] * len(self._matrix)
         for a, c in self._rule_pairs:
@@ -247,9 +267,8 @@ class Regulator(_Rebuilt):
         agg = np.empty((rows, universe.n))
         tmp = np.empty((rows, universe.n))
         for b0 in range(0, xs.shape[0], block):
-            chunk = clamped[b0:b0 + block]
-            strengths = self._strengths(np.array([mf.sample(chunk) for mf in self._input_mfs]))
-            for r0 in range(0, chunk.shape[0], rows):
+            strengths = self._strengths(self._activations(clamped[b0:b0 + block]))
+            for r0 in range(0, strengths.shape[1], rows):
                 w = strengths[:, r0:r0 + rows]
                 n = w.shape[1]
                 agg[:n] = 0.0

@@ -40,6 +40,7 @@ from fuzzreg import (
     singleton_fuzzify,
 )
 from fuzzreg import regulator as regulator_module
+from test_robustness import TestUserDefinedShapes as UserDefinedShapes
 
 magnitudes = st.one_of(
     st.floats(-1e3, 1e3, allow_nan=False),
@@ -290,6 +291,98 @@ def chunk_budget(budget):
         yield
     finally:
         regulator_module.CHUNK_ELEMENTS = saved
+
+
+class Squared(Triangular):
+    """A triangle with squared grades: its class overrides ``sample``, so
+    the stacked input path must call that, not ``_Linear.sample``."""
+
+    def __call__(self, x):
+        g = super().__call__(x)
+        return g * g
+
+    def sample(self, xs):
+        g = super().sample(xs)
+        return g * g
+
+
+class Plain(Triangular):
+    """A subclass that keeps ``_Linear.sample``: it joins the stack."""
+
+
+@st.composite
+def input_shapes(draw):
+    """Every family and both kinds of subclass, on [0, 10]: vertical edges,
+    shoulders with their infinite corners, gaussians with tiny and large
+    sigma, ``Squared``, ``Plain`` and the user-defined ``Step``."""
+    values = st.one_of(st.floats(-5, 15, allow_nan=False), st.sampled_from([0.0, 5.0, 10.0]))
+    kind = draw(st.sampled_from(["tri", "tri_left", "tri_right", "trap", "trap_edges", "z", "s",
+                                 "gauss", "squared", "plain", "step"]))
+    if kind == "gauss":
+        sigma = draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([5e-324, 1e-300, 1e300])))
+        return Gaussian(draw(st.floats(-5, 15)), sigma)
+    if kind == "step":
+        return UserDefinedShapes.Step(draw(values), draw(st.sampled_from([1.0, 0.5])))
+    if kind in ("z", "s"):
+        a, b = sorted(draw(st.tuples(values, values)))
+        assume(a < b)
+        return (ZShoulder if kind == "z" else SShoulder)(a, b)
+    if kind == "trap" or kind == "trap_edges":
+        a, b, c, d = sorted(draw(st.tuples(values, values, values, values)))
+        if kind == "trap_edges":
+            b, c = a, d
+        assume(a < d)
+        return Trapezoidal(a, b, c, d)
+    a, b, c = sorted(draw(st.tuples(values, values, values)))
+    b = {"tri_left": a, "tri_right": c}.get(kind, b)
+    assume(a < c)
+    return {"squared": Squared, "plain": Plain}.get(kind, Triangular)(a, b, c)
+
+
+def mixed_input_regulator(mfs):
+    vin = LinguisticVariable("in", Universe(0, 10, 11),
+                             tuple(LinguisticTerm(f"t{i}", mf) for i, mf in enumerate(mfs)))
+    vout = LinguisticVariable("out", Universe(0, 1, 21), (
+        LinguisticTerm("low", Triangular(0, 0.25, 0.5)),
+        LinguisticTerm("high", Trapezoidal(0.4, 0.6, 0.8, 1)),
+    ))
+    rules = tuple(Rule(i, i % 2) for i in range(len(mfs)))
+    return Regulator(RuleBase(vin, vout, rules), output_resolution=101,
+                     zero_mass_policy=ZeroMassPolicy.MIDPOINT)
+
+
+class TestStackedInputs:
+    """``evaluate_many`` grades its inputs with one call per shape family;
+    the block must equal each term's own ``sample`` row for row."""
+
+    @given(mfs=st.lists(input_shapes(), min_size=1, max_size=12), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_activations_equal_per_term_sampling(self, mfs, data):
+        for mf in mfs:
+            lo, hi = mf.support()
+            assume(hi >= 0.0 and lo <= 10.0)
+        reg = mixed_input_regulator(mfs)
+        corners = [v for mf in mfs for v in vars(mf).values() if isinstance(v, float)]
+        near = [math.nextafter(p, s) for p in corners for s in (-math.inf, math.inf)]
+        drawn = data.draw(st.lists(st.floats(-20, 30), max_size=30))
+        xs = np.array(corners + near + drawn)
+        assert np.array_equal(reg._activations(xs), np.array([mf.sample(xs) for mf in mfs]))
+        assert reg.evaluate_many(xs).tolist() == [reg.evaluate(x).output for x in xs.tolist()]
+
+    def test_an_overriding_subclass_is_sampled_by_its_own_method(self):
+        calls = []
+
+        class Recorded(Triangular):
+            def sample(self, xs):
+                calls.append(len(xs))
+                return super().sample(xs)
+
+        reg = mixed_input_regulator([Triangular(0, 2, 5), Recorded(3, 6, 10), Gaussian(5, 1)])
+        xs = np.linspace(0, 10, 7)
+        assert reg._activations(xs)[1].tolist() == Triangular(3, 6, 10).sample(xs).tolist()
+        assert calls == [7]
+        squared = mixed_input_regulator([Squared(0, 5, 10)])
+        assert squared._activations(np.linspace(0, 10, 5)).tolist() == [[0, 0.25, 1, 0.25, 0]]
 
 
 class TestCompiledConsequents:

@@ -36,6 +36,7 @@ from fuzzreg import (
     defuzz_cog,
     discretize,
     emit_mf_plot_data,
+    emit_sweep_data,
     infer,
     mf_parameters,
     parse_config,
@@ -300,6 +301,20 @@ class TestUserDefinedShapes:
         assert twin.evaluate_many([0.0, 50.0]).tolist() == reg.evaluate_many([0.0, 50.0]).tolist()
         assert not twin._matrix.flags.writeable
 
+    def test_a_subclass_of_a_built_in_shape_is_checked_too(self):
+        # it may override __call__, so evaluate keeps its [0, 1] check
+        class Overshoot(Triangular):
+            def __call__(self, x):
+                return 1.5
+
+        ref = reference_regulator()
+        vin = ref.input_var
+        vin = LinguisticVariable(vin.name, vin.universe,
+                                 (LinguisticTerm("BAD", Overshoot(0, 10, 20)),) + vin.terms[1:])
+        reg = Regulator(RuleBase(vin, ref.output_var, ref.rulebase.rules))
+        with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
+            reg.evaluate(50.0)
+
     def test_parameters_of_a_shape_that_is_not_a_dataclass_are_unknown(self):
         with pytest.raises(ValidationError, match="^Step is not a dataclass"):
             mf_parameters(self.Step(0.5))
@@ -456,3 +471,38 @@ class TestGradeRule:
         for name in ("grades", "entries", "activations"):
             result = getattr(result, name, result)
         assert not np.isnan(result).any()
+
+    # objects of every class a public entry takes, each the wrong one for
+    # most of the arguments below
+    ref = reference_regulator()
+    OBJECTS = [ref, ref.rulebase, ref.input_var, ref.consequent_sets, ref.consequent_sets[0],
+               ref.output_universe, Triangular(0, 1, 2), object()]
+    OBJECT_CALLS = {
+        "FuzzySet": lambda v: FuzzySet(v, [0, 1]),
+        "infer_rulebase": lambda v, ref=ref: infer(v, [1, 0, 0, 0, 0], ref.consequent_sets),
+        "infer_consequents": lambda v, ref=ref: infer(ref.rulebase, [1, 0, 0, 0, 0], v),
+        "defuzz_cog": defuzz_cog,
+        "Regulator": Regulator,
+        "emit_mf_plot_data": lambda v: emit_mf_plot_data(v, 3),
+        "discretize_shape": lambda v: discretize(v, Universe(0, 1, 3)),
+        "discretize_universe": lambda v: discretize(Triangular(0, 1, 2), v),
+        "singleton_fuzzify": lambda v: singleton_fuzzify(0.5, v),
+        "emit_sweep_data": lambda v: emit_sweep_data([(0.0, 1.0), v]),
+    }
+
+    @settings(max_examples=500, deadline=None)
+    @given(call=st.sampled_from(sorted(OBJECT_CALLS)),
+           value=st.one_of(anything, st.sampled_from(OBJECTS)))
+    def test_any_object_argument_gives_a_value_or_a_fuzzy_error(self, call, value):
+        try:
+            self.OBJECT_CALLS[call](value)
+        except FuzzyError:
+            pass
+
+    @pytest.mark.parametrize("pairs, index", [
+        ([(1.0,)], 0), ([(0.0, 1.0), (1.0, "a")], 1), ([(0.0, 1.0), (2.0, 3.0), None], 2),
+        ([(0.0, 1.0, 2.0)], 0), ([(0.0, 10**400)], 0),
+    ])
+    def test_sweep_pair_that_is_not_two_numbers_is_named(self, pairs, index):
+        with pytest.raises(ValidationError, match=f"^sweep pair {index} must be two numbers"):
+            emit_sweep_data(pairs)
