@@ -48,6 +48,7 @@ from .membership import (
     Universe,
     _SHAPE_CLASSES,
     _count,
+    _instance,
     _real,
     mf_parameters,
 )
@@ -253,6 +254,7 @@ def parse_config(document: str) -> Regulator:
     :class:`ValidationError` (naming the offending path) when it is
     well-formed but violates an invariant.
     """
+    _instance(document, str, "controller document")
     try:
         doc = _DocumentLoader.load(document)
     except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml encodes str to UTF-8
@@ -323,6 +325,7 @@ def serialize_config(reg: Regulator) -> str:
 
     Round-trips: parsing the output yields a structurally equal regulator.
     """
+    _instance(reg, Regulator, "serialize_config regulator")
     in_names = reg.rulebase.input_var.term_names
     out_names = reg.rulebase.output_var.term_names
     doc = {

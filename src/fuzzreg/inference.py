@@ -126,11 +126,14 @@ class RuleBase:
     rules: tuple[Rule, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
+        _instance(self.input_var, LinguisticVariable, "rule base input variable")
+        _instance(self.output_var, LinguisticVariable, "rule base output variable")
+        object.__setattr__(self, "rules", tuple(_instance(self.rules, Iterable, "rule base rules")))
         if not self.rules:
             raise EmptyRuleBase("a rule base needs at least one rule")
         seen = set()
         for rule in self.rules:
+            _instance(rule, Rule, "rule base rule")
             for side, var in (("antecedent", self.input_var), ("consequent", self.output_var)):
                 index = getattr(rule, side)
                 if index >= len(var.terms):

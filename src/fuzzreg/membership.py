@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,10 @@ MAX_SAMPLES = 1 << 20
 # The most terms x samples cells a regulator compiles or a plot samples:
 # 128 MiB of doubles, where 128 terms at MAX_SAMPLES would be a gigabyte.
 MAX_CELLS = 1 << 24
+
+# Doubles per scratch block: a variable grades its terms this many cells at
+# a time, and evaluate_many's buffers hold as many inputs as fit, at least one.
+CHUNK_ELEMENTS = 1 << 16
 
 
 def _count(value, what: str, minimum: int, error: type[FuzzyError] = ValidationError) -> int:
@@ -180,9 +185,9 @@ def _ramps(xs, a, b, c, d) -> np.ndarray:
 
     A vertical edge divides by zero (``±inf``, or NaN at the edge itself)
     and an open side of ``±inf`` gives NaN; ``fmin`` takes the other ramp
-    wherever one is NaN, and the clip saturates the rest.
+    wherever one is NaN, and the clip saturates the rest. ``xs`` is a float
+    array of at least one dimension, which the library builds.
     """
-    xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
         rising = (xs - a) / (b - a)
         falling = (d - xs) / (d - c)
@@ -194,8 +199,16 @@ def _bell(xs, center, sigma) -> np.ndarray:
     """Grades of the gaussian at ``center`` with width ``sigma`` at every
     point of ``xs``; ``(g, 1)`` arrays grade ``g`` gaussians, as in ``_ramps``."""
     with np.errstate(all="ignore"):
-        z = (np.asarray(xs, dtype=float) - center) / sigma
+        z = (xs - center) / sigma
         return np.exp(-0.5 * z * z)
+
+
+def _sampled(grade, xs, *params) -> np.ndarray:
+    """``grade(points, *params)`` at a caller's ``xs``, which must be
+    numbers (``_number_array``), graded as one vector and returned in the
+    shape of ``xs``: a 0-d ``xs`` gives a 0-d array under every shape."""
+    xs = _number_array(xs, "sample points must be real numbers").astype(float, copy=False)
+    return grade(xs.reshape(-1), *params).reshape(xs.shape)
 
 
 class MembershipFunction:
@@ -207,19 +220,22 @@ class MembershipFunction:
     ``__call__`` and ``support`` (the four linear shapes share one set,
     and one parameter rule, in ``_Linear``); an override of ``sample``
     with array arithmetic must keep that agreement and stay inside
-    ``[0, 1]``, since its grades are used unchecked. A subclass need not
-    be a dataclass, and copies of it follow Python's defaults.
+    ``[0, 1]``, since its grades are used unchecked. A variable grades
+    its terms in blocks of points, so an overriding ``sample`` may be
+    called once per block of a vector of points. A subclass need not be a
+    dataclass, and copies of it follow Python's defaults.
     """
 
     def __call__(self, x: float) -> float:
         raise NotImplementedError
 
     def sample(self, xs) -> np.ndarray:
-        """Grades at every point of ``xs``, as a new float array.
+        """Grades at every point of ``xs``, as a new float array of its
+        shape; ``xs`` must be numbers, not strings, bools or ``None``.
 
         This default calls ``mf(x)`` once per point and rejects any grade
         outside ``[0, 1]``."""
-        grades = np.array([self(x) for x in np.asarray(xs, dtype=float).tolist()], dtype=float)
+        grades = _sampled(lambda pts: np.array([self(x) for x in pts.tolist()], dtype=float), xs)
         if not np.all((grades >= 0.0) & (grades <= 1.0)):
             raise ValidationError(f"{type(self).__name__} grades must lie in [0, 1]")
         return grades
@@ -284,7 +300,7 @@ class _Linear(_Rebuilt, MembershipFunction):
         return (d - x) / (d - c)
 
     def sample(self, xs) -> np.ndarray:
-        return _ramps(xs, *self._corners)
+        return _sampled(_ramps, xs, *self._corners)
 
     def support(self) -> tuple[float, float]:
         return (self._corners[0], self._corners[3])
@@ -341,7 +357,7 @@ class Gaussian(MembershipFunction):
         return float(np.exp(-0.5 * z * z))
 
     def sample(self, xs) -> np.ndarray:
-        return _bell(xs, self.center, self.sigma)
+        return _sampled(_bell, xs, self.center, self.sigma)
 
     def support(self) -> tuple[float, float]:
         reach = GAUSSIAN_REACH * self.sigma
@@ -430,8 +446,9 @@ class LinguisticTerm:
 
 
 @dataclass(frozen=True)
-class LinguisticVariable:
-    """A named quantity described by linguistic terms over a universe."""
+class LinguisticVariable(_Rebuilt):
+    """A named quantity described by linguistic terms over a universe. It
+    grades its own terms: every scalar and array grading path calls it."""
 
     name: str
     universe: Universe
@@ -439,22 +456,32 @@ class LinguisticVariable:
 
     def __post_init__(self) -> None:
         _check_name(self.name, "variable")
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
-            raise ValidationError(f"variable {self.name!r} needs at least one term")
+        what = f"variable {self.name!r}"
+        u = _instance(self.universe, Universe, f"{what} universe")
+        terms = tuple(_instance(self.terms, Iterable, f"{what} terms"))
+        object.__setattr__(self, "terms", terms)
+        if not terms:
+            raise ValidationError(f"{what} needs at least one term")
         seen = set()
-        for term in self.terms:
+        for term in terms:
+            _instance(term, LinguisticTerm, f"{what} term")
             if term.name in seen:
-                raise ValidationError(
-                    f"variable {self.name!r} has duplicate term {term.name!r}"
-                )
+                raise ValidationError(f"{what} has duplicate term {term.name!r}")
             seen.add(term.name)
             lo, hi = term.mf.support()
-            if hi < self.universe.min or lo > self.universe.max:
+            if hi < u.min or lo > u.max:
                 raise ValidationError(
                     f"term {term.name!r} lies entirely outside the universe "
-                    f"[{self.universe.min}, {self.universe.max}]"
+                    f"[{u.min}, {u.max}]"
                 )
+        mfs = tuple(term.mf for term in terms)
+        object.__setattr__(self, "_mfs", mfs)
+        object.__setattr__(self, "_families", _families(mfs))
+        # only a user-defined shape's grades need the scalar [0, 1] check; a
+        # subclass of a built-in one may override __call__, so test the class
+        built_in = all(type(mf) in _SHAPE_CLASSES for mf in mfs)
+        object.__setattr__(self, "_check_grades", not built_in)
+        object.__setattr__(self, "_bounds", (u.min, u.max))
 
     @property
     def term_names(self) -> tuple[str, ...]:
@@ -465,6 +492,36 @@ class LinguisticVariable:
             if term.name == name:
                 return i
         raise ValidationError(f"variable {self.name!r} has no term {name!r}")
+
+    def _fuzzify(self, x0) -> tuple[float, float, list[float]]:
+        """``x0`` as a finite float, that value clamped to the universe, and
+        its grade under each term, checked to lie in ``[0, 1]`` unless every
+        shape is a built-in one (a user-defined shape's ``mf(x)`` is checked
+        nowhere else)."""
+        # a float skips the type check: it is almost every call
+        x = x0 if type(x0) is float else _real(x0, "crisp input")
+        if not math.isfinite(x):
+            raise NonFiniteInput(f"crisp input must be finite, got {x0!r}")
+        lo, hi = self._bounds
+        clamped = min(max(x, lo), hi)
+        # the scalar shape forms equal the array forms _grade uses
+        grades = [mf(clamped) for mf in self._mfs]
+        if self._check_grades and not all(0.0 <= g <= 1.0 for g in grades):
+            raise ValidationError(f"grades must lie in [0, 1], got {grades}")
+        return x, clamped, grades
+
+    def _grade(self, xs: np.ndarray) -> np.ndarray:
+        """Grade of every point of the float vector ``xs`` under every term,
+        terms x points, equal bit for bit to each term's ``sample``: one
+        call per shape family per block of at most :data:`CHUNK_ELEMENTS`
+        cells, so that scratch space does not grow with the points."""
+        grades = np.empty((len(self.terms), xs.shape[0]))
+        block = max(1, CHUNK_ELEMENTS // len(self.terms))
+        for p0 in range(0, xs.shape[0], block):
+            cols = slice(p0, p0 + block)
+            for rows, sample, params in self._families:
+                grades[rows, cols] = sample(xs[cols], *params)
+        return grades
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,28 +576,11 @@ def discretize(mf: MembershipFunction, universe: Universe) -> FuzzySet:
     return FuzzySet._trusted(universe, mf.sample(universe.points))
 
 
-def _fuzzify(x0, mfs, lo: float, hi: float, check=True) -> tuple[float, float, list[float]]:
-    """``x0`` as a finite float, that value clamped to ``[lo, hi]``, and its
-    grade under each of ``mfs``, checked to lie in ``[0, 1]`` unless
-    ``check`` is false (a user-defined shape's ``mf(x)`` is checked nowhere
-    else; a caller skips the check only for ``_SHAPE_CLASSES``)."""
-    # a float skips the type check: it is almost every call
-    x = x0 if type(x0) is float else _real(x0, "crisp input")
-    if not math.isfinite(x):
-        raise NonFiniteInput(f"crisp input must be finite, got {x0!r}")
-    clamped = min(max(x, lo), hi)
-    # the scalar shape forms equal the array forms evaluate_many uses
-    grades = [mf(clamped) for mf in mfs]
-    if check and not all(0.0 <= g <= 1.0 for g in grades):
-        raise ValidationError(f"grades must lie in [0, 1], got {grades}")
-    return x, clamped, grades
-
-
 def singleton_fuzzify(x0: float, var: LinguisticVariable) -> np.ndarray:
     """Grade a crisp value against every term of a variable.
 
     The value is clamped to the universe before evaluation, so out-of-range
     readings saturate instead of failing. Returns one grade per term.
     """
-    u = _instance(var, LinguisticVariable, "singleton_fuzzify variable").universe
-    return np.array(_fuzzify(x0, [term.mf for term in var.terms], u.min, u.max)[2])
+    var = _instance(var, LinguisticVariable, "singleton_fuzzify variable")
+    return np.array(var._fuzzify(x0)[2])

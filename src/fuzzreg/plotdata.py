@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .errors import ValidationError
-from .membership import LinguisticVariable, _check_cells, _count, _instance
+from .membership import LinguisticVariable, _check_cells, _count, _instance, _real
 
 
 # six significant digits, locale-independent, '.' decimal separator
@@ -13,8 +15,8 @@ _FORMAT = "%.6g"
 
 
 def format_value(v: float) -> str:
-    """One CSV value, printed with ``_FORMAT``."""
-    return _FORMAT % float(v)
+    """One CSV value, a real number, printed with ``_FORMAT``."""
+    return _FORMAT % _real(v, "CSV value")
 
 
 def emit_mf_plot_data(var: LinguisticVariable, samples: int) -> str:
@@ -26,13 +28,13 @@ def emit_mf_plot_data(var: LinguisticVariable, samples: int) -> str:
     samples = _count(samples, "plot samples", 2)
     _check_cells(len(var.terms), samples, "plot samples")
     xs = np.linspace(var.universe.min, var.universe.max, samples)
-    table = np.column_stack([xs] + [term.mf.sample(xs) for term in var.terms])
+    table = np.vstack((xs, var._grade(xs))).T
     return _csv(["x"] + [term.name for term in var.terms], table.tolist())
 
 
 def emit_sweep_data(pairs) -> str:
     """CSV of (input, output) response pairs with an ``input,output`` header."""
-    pairs = list(pairs)
+    pairs = list(_instance(pairs, Iterable, "sweep pairs"))
     try:
         return _csv(["input", "output"], pairs)
     except (OverflowError, TypeError, ValueError):

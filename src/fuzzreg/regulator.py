@@ -7,6 +7,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import membership
 from .defuzz import _cog_vector, cog_rows
 from .errors import DimensionMismatch, NonFiniteInput, ValidationError, ZeroMass
 from .inference import RuleBase
@@ -14,20 +15,13 @@ from .membership import (
     FuzzySet,
     LinguisticVariable,
     Universe,
-    _SHAPE_CLASSES,
     _check_cells,
     _count,
-    _families,
-    _fuzzify,
     _grade_array,
     _instance,
     _number_array,
     _Rebuilt,
 )
-
-# Doubles per scratch buffer in evaluate_many: a chunk holds as many inputs
-# as fit, and always at least one.
-CHUNK_ELEMENTS = 1 << 16
 
 # a ZeroMass error says which of the two ways an aggregate can be all zero
 _NO_RULE = "all grades are zero; no rule fired"
@@ -101,8 +95,7 @@ class Regulator(_Rebuilt):
     zero_mass_policy: ZeroMassPolicy = ZeroMassPolicy.ERROR
 
     def __post_init__(self) -> None:
-        in_var = _instance(self.rulebase, RuleBase, "regulator rule base").input_var
-        out_var = self.rulebase.output_var
+        out_var = _instance(self.rulebase, RuleBase, "regulator rule base").output_var
         res = out_var.universe.n if self.output_resolution is None else self.output_resolution
         object.__setattr__(self, "output_resolution", _count(res, "output_resolution", 2))
         _check_cells(len(out_var.terms), self.output_resolution, "output_resolution")
@@ -110,11 +103,7 @@ class Regulator(_Rebuilt):
             raise ValidationError(f"unknown zero-mass policy {self.zero_mass_policy!r}")
 
         universe = Universe(out_var.universe.min, out_var.universe.max, self.output_resolution)
-        # filled row by row: sampling all terms first and stacking them
-        # would hold every consequent twice at once
-        consequents = np.empty((len(out_var.terms), universe.n))
-        for row, term in zip(consequents, out_var.terms):
-            row[:] = term.mf.sample(universe.points)
+        consequents = out_var._grade(universe.points)
         consequents.setflags(write=False)
         spans = []
         for row in consequents:
@@ -126,15 +115,6 @@ class Regulator(_Rebuilt):
         object.__setattr__(self, "_output_universe", universe)
         object.__setattr__(self, "_matrix", consequents)
         object.__setattr__(self, "_spans", tuple(spans))
-        input_mfs = tuple(term.mf for term in in_var.terms)
-        object.__setattr__(self, "_input_mfs", input_mfs)
-        object.__setattr__(self, "_input_families", _families(input_mfs))
-        # only a user-defined shape's grades need evaluate's [0, 1] check; a
-        # subclass of a built-in one may override __call__, so test the class
-        object.__setattr__(
-            self, "_check_grades", not all(type(mf) in _SHAPE_CLASSES for mf in input_mfs)
-        )
-        object.__setattr__(self, "_input_bounds", (in_var.universe.min, in_var.universe.max))
         object.__setattr__(self, "_rule_pairs", tuple((r.antecedent, r.consequent) for r in rules))
         object.__setattr__(
             self,
@@ -159,16 +139,6 @@ class Regulator(_Rebuilt):
         """Cached discretization of each output term, in term order; each
         is a read-only view of one row of the compiled consequent matrix."""
         return self._consequents
-
-    def _activations(self, xs: np.ndarray) -> np.ndarray:
-        """Grade of every input in ``xs`` under every input term, input
-        terms x inputs: one call per shape family, not one per term (see
-        ``membership._families``), equal bit for bit to each term's
-        ``sample``."""
-        activations = np.empty((len(self._input_mfs), xs.shape[0]))
-        for rows, sample, params in self._input_families:
-            activations[rows] = sample(xs, *params)
-        return activations
 
     def _strengths(self, activations: np.ndarray) -> np.ndarray:
         """Firing strength of every output term, output terms x inputs: the
@@ -219,7 +189,7 @@ class Regulator(_Rebuilt):
         exact maxima, the clip the same exact minima and maxima, and the
         center of gravity ``defuzz_cog``'s form of the same sums.
         """
-        x, clamped, grades = _fuzzify(x0, self._input_mfs, *self._input_bounds, self._check_grades)
+        x, clamped, grades = self.rulebase.input_var._fuzzify(x0)
         # each term's strength as _strengths takes it
         strengths = [0.0] * len(self._matrix)
         for a, c in self._rule_pairs:
@@ -246,8 +216,9 @@ class Regulator(_Rebuilt):
         Inputs are clamped to the input universe and must be finite; where
         the aggregate is all zero, the zero-mass policy applies, and the
         error names that input. Work runs in chunks of inputs, with scratch
-        buffers of about ``CHUNK_ELEMENTS`` doubles each, allocated once
-        per call: memory stays bounded however many inputs there are.
+        buffers of about ``membership.CHUNK_ELEMENTS`` doubles each,
+        allocated once per call: memory stays bounded however many inputs
+        there are.
         """
         xs = _number_array(xs, "crisp inputs must be real numbers").astype(float, copy=False)
         if xs.ndim != 1:
@@ -256,18 +227,18 @@ class Regulator(_Rebuilt):
         if not finite.all():
             bad = xs[int(np.argmin(finite))]
             raise NonFiniteInput(f"crisp input must be finite, got {float(bad)!r}")
-        universe = self._output_universe
-        clamped = np.clip(xs, *self._input_bounds)
+        universe, in_var = self._output_universe, self.rulebase.input_var
+        clamped = np.clip(xs, in_var.universe.min, in_var.universe.max)
         outputs = np.empty(xs.shape[0])
-        n_out, n_in = len(self._matrix), len(self._input_mfs)
-        rows = max(1, min(xs.shape[0], CHUNK_ELEMENTS // universe.n))
+        chunk = membership.CHUNK_ELEMENTS
+        rows = max(1, min(xs.shape[0], chunk // universe.n))
         # activations and strengths of many inputs at once, so that the
         # per-call cost of the shapes' array forms is shared
-        block = max(rows, CHUNK_ELEMENTS // max(n_out, n_in))
+        block = max(rows, chunk // max(len(self._matrix), len(in_var.terms)))
         agg = np.empty((rows, universe.n))
         tmp = np.empty((rows, universe.n))
         for b0 in range(0, xs.shape[0], block):
-            strengths = self._strengths(self._activations(clamped[b0:b0 + block]))
+            strengths = self._strengths(in_var._grade(clamped[b0:b0 + block]))
             for r0 in range(0, strengths.shape[1], rows):
                 w = strengths[:, r0:r0 + rows]
                 n = w.shape[1]

@@ -10,6 +10,7 @@ import contextlib
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,13 +34,17 @@ from fuzzreg import (
     ZeroMass,
     ZeroMassPolicy,
     ZShoulder,
+    ValidationError,
     defuzz_cog,
     discretize,
+    emit_mf_plot_data,
     infer,
     reference_regulator,
     singleton_fuzzify,
 )
-from fuzzreg import regulator as regulator_module
+from fuzzreg import membership as membership_module
+from fuzzreg.membership import MAX_SAMPLES
+from fuzzreg.plotdata import _csv
 from test_robustness import TestUserDefinedShapes as UserDefinedShapes
 
 magnitudes = st.one_of(
@@ -115,6 +120,24 @@ class TestArrayForms:
         mf = Gaussian(0.3, 0.7)
         xs = np.linspace(-5, 5, 2001)
         assert mf.sample(xs).tolist() == [mf(float(x)) for x in xs]
+
+    # the five built-in shapes and a user-defined one
+    EVERY_KIND = [Triangular(0, 1, 2), Trapezoidal(0, 1, 2, 3), Gaussian(1, 1), ZShoulder(0, 1),
+                  SShoulder(0, 1), UserDefinedShapes.Step(1.0, 1.0)]
+
+    @pytest.mark.parametrize("mf", EVERY_KIND, ids=lambda mf: type(mf).__name__)
+    def test_sample_keeps_the_shape_of_its_points(self, mf):
+        for x in (0.5, 1, np.float32(1.5)):
+            grade = mf.sample(x)
+            assert grade.shape == () and grade.tolist() == mf(float(x))
+        xs = np.array([[0.0, 0.5], [1.5, 2.5]])
+        assert mf.sample(xs).tolist() == [[mf(x) for x in row] for row in xs.tolist()]
+
+    @pytest.mark.parametrize("mf", EVERY_KIND, ids=lambda mf: type(mf).__name__)
+    @pytest.mark.parametrize("xs", [None, ["a"], [True], "1.0", [[1.0], [1.0, 2.0]], [10**400]])
+    def test_sample_points_must_be_numbers(self, mf, xs):
+        with pytest.raises(ValidationError, match="sample points must be real numbers"):
+            mf.sample(xs)
 
 
 class TestSupports:
@@ -218,13 +241,13 @@ class TestEvaluateMany:
 
     def test_crosses_chunk_boundaries_at_small_resolution(self):
         reg = reference_regulator()
-        rows = regulator_module.CHUNK_ELEMENTS // reg.output_resolution
+        rows = membership_module.CHUNK_ELEMENTS // reg.output_resolution
         xs = np.linspace(-10, 110, 3 * rows + 7)
         assert reg.evaluate_many(xs).tolist() == per_point(reg, xs)
 
     def test_crosses_chunk_boundaries_at_65537_samples(self):
         reg = Regulator(reference_regulator().rulebase, output_resolution=65537)
-        assert regulator_module.CHUNK_ELEMENTS // 65537 == 0  # one input per chunk
+        assert membership_module.CHUNK_ELEMENTS // 65537 == 0  # one input per chunk
         xs = np.array([-3.0, 0.0, 12.5, 25.0, 37.2, 50.0, 63.0, 88.8, 100.0, 140.0])
         assert reg.evaluate_many(xs).tolist() == per_point(reg, xs)
         assert reg.sweep(9) == [(x, y) for x, y in zip(np.linspace(0, 100, 9).tolist(),
@@ -285,12 +308,12 @@ def gap_regulator(policy):
 @contextlib.contextmanager
 def chunk_budget(budget):
     """Run with another chunk budget, so that small inputs cross many chunks."""
-    saved = regulator_module.CHUNK_ELEMENTS
-    regulator_module.CHUNK_ELEMENTS = budget
+    saved = membership_module.CHUNK_ELEMENTS
+    membership_module.CHUNK_ELEMENTS = budget
     try:
         yield
     finally:
-        regulator_module.CHUNK_ELEMENTS = saved
+        membership_module.CHUNK_ELEMENTS = saved
 
 
 class Squared(Triangular):
@@ -355,9 +378,10 @@ class TestStackedInputs:
     """``evaluate_many`` grades its inputs with one call per shape family;
     the block must equal each term's own ``sample`` row for row."""
 
-    @given(mfs=st.lists(input_shapes(), min_size=1, max_size=12), data=st.data())
+    @given(mfs=st.lists(input_shapes(), min_size=1, max_size=12), data=st.data(),
+           budget=st.integers(1, 64))
     @settings(max_examples=200, deadline=None)
-    def test_activations_equal_per_term_sampling(self, mfs, data):
+    def test_activations_equal_per_term_sampling(self, mfs, data, budget):
         for mf in mfs:
             lo, hi = mf.support()
             assume(hi >= 0.0 and lo <= 10.0)
@@ -366,8 +390,25 @@ class TestStackedInputs:
         near = [math.nextafter(p, s) for p in corners for s in (-math.inf, math.inf)]
         drawn = data.draw(st.lists(st.floats(-20, 30), max_size=30))
         xs = np.array(corners + near + drawn)
-        assert np.array_equal(reg._activations(xs), np.array([mf.sample(xs) for mf in mfs]))
+        want = np.array([mf.sample(xs) for mf in mfs])
+        assert np.array_equal(reg.input_var._grade(xs), want)
+        with chunk_budget(budget):  # blocks of a few points
+            assert np.array_equal(reg.input_var._grade(xs), want)
         assert reg.evaluate_many(xs).tolist() == [reg.evaluate(x).output for x in xs.tolist()]
+
+    @given(mfs=st.lists(input_shapes(), min_size=1, max_size=12), samples=st.integers(2, 300),
+           budget=st.sampled_from([1, 7, 64, membership_module.CHUNK_ELEMENTS]))
+    @settings(max_examples=100, deadline=None)
+    def test_plot_columns_equal_per_term_sampling(self, mfs, samples, budget):
+        for mf in mfs:
+            lo, hi = mf.support()
+            assume(hi >= 0.0 and lo <= 10.0)
+        var = mixed_input_regulator(mfs).input_var
+        xs = np.linspace(0, 10, samples)
+        want = _csv(["x"] + list(var.term_names),
+                    np.column_stack([xs] + [mf.sample(xs) for mf in mfs]).tolist())
+        with chunk_budget(budget):
+            assert emit_mf_plot_data(var, samples) == want
 
     def test_an_overriding_subclass_is_sampled_by_its_own_method(self):
         calls = []
@@ -379,18 +420,37 @@ class TestStackedInputs:
 
         reg = mixed_input_regulator([Triangular(0, 2, 5), Recorded(3, 6, 10), Gaussian(5, 1)])
         xs = np.linspace(0, 10, 7)
-        assert reg._activations(xs)[1].tolist() == Triangular(3, 6, 10).sample(xs).tolist()
+        assert reg.input_var._grade(xs)[1].tolist() == Triangular(3, 6, 10).sample(xs).tolist()
         assert calls == [7]
         squared = mixed_input_regulator([Squared(0, 5, 10)])
-        assert squared._activations(np.linspace(0, 10, 5)).tolist() == [[0, 0.25, 1, 0.25, 0]]
+        assert squared.input_var._grade(np.linspace(0, 10, 5)).tolist() == [[0, 0.25, 1, 0.25, 0]]
 
 
 class TestCompiledConsequents:
-    @given(reg=regulators(resolution=st.integers(2, 3000)))
+    @given(reg=regulators(resolution=st.integers(2, 3000)),
+           budget=st.sampled_from([1, 5, 97, 700, membership_module.CHUNK_ELEMENTS]))
     @settings(max_examples=60, deadline=None)
-    def test_consequent_sets_equal_discretize(self, reg):
+    def test_consequent_sets_equal_discretize(self, reg, budget):
+        # compiled again under the budget, so that small ones cross many
+        # blocks of output samples
+        with chunk_budget(budget):
+            reg = Regulator(reg.rulebase, reg.output_resolution, reg.zero_mass_policy)
         for term, cached in zip(reg.output_var.terms, reg.consequent_sets):
             assert cached == discretize(term.mf, reg.output_universe)
+
+    def test_compiling_needs_scratch_of_a_few_blocks(self):
+        rulebase = reference_regulator().rulebase
+        tracemalloc.start()
+        try:
+            reg = Regulator(rulebase, output_resolution=MAX_SAMPLES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        u = reg.output_universe
+        kept = reg.consequent_sets[0].grades.base.nbytes + u.points.nbytes + u.offsets.nbytes
+        # sampling one whole row of 2^20 points at a time needs 16 MiB
+        # beyond what is kept: two ramp temporaries of 8 MiB each
+        assert peak - kept < (4 << 20)
 
     def test_consequent_sets_are_read_only(self):
         cached = reference_regulator().consequent_sets[0]

@@ -458,6 +458,17 @@ class TestCopies:
             k: v for k, v in theirs.items() if k not in arrays}
 
     @pytest.mark.parametrize("make_copy", COPIES, ids=COPY_IDS)
+    def test_variable(self, make_copy):
+        var = reference_regulator().input_var
+        twin = make_copy(var)
+        assert twin == var
+        # the grading state is derived again, not copied
+        assert twin._families is not var._families
+        xs = np.linspace(-10.0, 110.0, 241)
+        assert np.array_equal(twin._grade(xs), var._grade(xs))
+        assert [twin._fuzzify(x) for x in xs.tolist()] == [var._fuzzify(x) for x in xs.tolist()]
+
+    @pytest.mark.parametrize("make_copy", COPIES, ids=COPY_IDS)
     def test_regulator(self, make_copy):
         reg = reference_regulator()
         twin = make_copy(reg)

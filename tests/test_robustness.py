@@ -37,6 +37,7 @@ from fuzzreg import (
     discretize,
     emit_mf_plot_data,
     emit_sweep_data,
+    format_value,
     infer,
     mf_parameters,
     parse_config,
@@ -478,6 +479,19 @@ class TestGradeRule:
     OBJECTS = [ref, ref.rulebase, ref.input_var, ref.consequent_sets, ref.consequent_sets[0],
                ref.output_universe, Triangular(0, 1, 2), object()]
     OBJECT_CALLS = {
+        "variable_universe": lambda v, t=ref.input_var.terms: LinguisticVariable("x", v, t),
+        "variable_terms": lambda v, u=ref.output_universe: LinguisticVariable("x", u, v),
+        "variable_term": lambda v, u=ref.output_universe: LinguisticVariable("x", u, (v,)),
+        "RuleBase_input": lambda v, rb=ref.rulebase: RuleBase(v, rb.output_var, rb.rules),
+        "RuleBase_output": lambda v, rb=ref.rulebase: RuleBase(rb.input_var, v, rb.rules),
+        "RuleBase_rules": lambda v, rb=ref.rulebase: RuleBase(rb.input_var, rb.output_var, v),
+        "RuleBase_rule": lambda v, rb=ref.rulebase: RuleBase(rb.input_var, rb.output_var, [v]),
+        "serialize_config": serialize_config,
+        "parse_config": parse_config,
+        "emit_sweep_data_pairs": emit_sweep_data,
+        "format_value": format_value,
+        "Triangular.sample": Triangular(0, 1, 2).sample,
+        "Gaussian.sample": Gaussian(0, 1).sample,
         "FuzzySet": lambda v: FuzzySet(v, [0, 1]),
         "infer_rulebase": lambda v, ref=ref: infer(v, [1, 0, 0, 0, 0], ref.consequent_sets),
         "infer_consequents": lambda v, ref=ref: infer(ref.rulebase, [1, 0, 0, 0, 0], v),
