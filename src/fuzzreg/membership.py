@@ -153,7 +153,12 @@ class Universe(_Rebuilt):
         # the realized grid must be uniform to within 1e-9 of the span,
         # which a huge offset-to-span ratio makes unrepresentable
         step = (self.max - self.min) / (self.n - 1)
-        if not np.all(np.abs(diffs - step) <= 1e-9 * (self.max - self.min)):
+        # in place, and let go before the offsets are made: the scratch
+        # beyond the two rows kept is one row
+        np.abs(np.subtract(diffs, step, out=diffs), out=diffs)
+        uniform = np.all(diffs <= 1e-9 * (self.max - self.min))
+        del diffs
+        if not uniform:
             raise InvalidUniverse(
                 f"range [{self.min}, {self.max}] is too narrow relative to its "
                 f"magnitude for a uniform grid"
@@ -516,12 +521,16 @@ class LinguisticVariable(_Rebuilt):
         call per shape family per block of at most :data:`CHUNK_ELEMENTS`
         cells, so that scratch space does not grow with the points."""
         grades = np.empty((len(self.terms), xs.shape[0]))
-        block = max(1, CHUNK_ELEMENTS // len(self.terms))
-        for p0 in range(0, xs.shape[0], block):
-            cols = slice(p0, p0 + block)
+        for cols in self._blocks(xs.shape[0]):
             for rows, sample, params in self._families:
                 grades[rows, cols] = sample(xs[cols], *params)
         return grades
+
+    def _blocks(self, points: int):
+        """Column slices that split ``points`` columns of terms x points
+        grades into blocks of at most :data:`CHUNK_ELEMENTS` cells."""
+        block = max(1, CHUNK_ELEMENTS // len(self.terms))
+        return (slice(p0, p0 + block) for p0 in range(0, points, block))
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,8 +556,8 @@ class FuzzySet(_Rebuilt):
         length and inside ``[0, 1]`` by construction: no copy, no check."""
         fset = object.__new__(cls)
         grades.setflags(write=False)
-        object.__setattr__(fset, "universe", universe)
-        object.__setattr__(fset, "grades", grades)
+        # one update of the instance dict, as EvalTrace._trusted does
+        fset.__dict__.update(universe=universe, grades=grades)
         return fset
 
     def __len__(self) -> int:

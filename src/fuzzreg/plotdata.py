@@ -28,27 +28,35 @@ def emit_mf_plot_data(var: LinguisticVariable, samples: int) -> str:
     samples = _count(samples, "plot samples", 2)
     _check_cells(len(var.terms), samples, "plot samples")
     xs = np.linspace(var.universe.min, var.universe.max, samples)
-    table = np.vstack((xs, var._grade(xs))).T
-    return _csv(["x"] + [term.name for term in var.terms], table.tolist())
+    # graded and formatted one of the variable's grading blocks at a time:
+    # the whole table as Python floats, lists and row strings took about
+    # 13 times the size of the CSV
+    blocks = (
+        np.vstack((xs[cols], var._grade(xs[cols]))).T.tolist() for cols in var._blocks(samples)
+    )
+    return _csv(["x"] + [term.name for term in var.terms], blocks)
 
 
 def emit_sweep_data(pairs) -> str:
     """CSV of (input, output) response pairs with an ``input,output`` header."""
     pairs = list(_instance(pairs, Iterable, "sweep pairs"))
     try:
-        return _csv(["input", "output"], pairs)
+        return _csv(["input", "output"], [pairs])
     except (OverflowError, TypeError, ValueError):
         # name the first pair that the row format cannot print
         for i, pair in enumerate(pairs):
             try:
-                _csv(["input", "output"], [pair])
+                _csv(["input", "output"], [[pair]])
             except (OverflowError, TypeError, ValueError):
                 raise ValidationError(f"sweep pair {i} must be two numbers, got {pair!r}") from None
         raise
 
 
-def _csv(header: list[str], rows) -> str:
-    """``header`` and ``rows`` as CSV lines, values printed with ``_FORMAT``."""
+def _csv(header: list[str], blocks) -> str:
+    """``header`` and the rows of each of ``blocks`` as CSV lines, values
+    printed with ``_FORMAT``; a block's rows are let go once it is printed."""
     # one %-format per row is faster than format_value per value
     row = ",".join([_FORMAT] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join(map(row.__mod__, map(tuple, rows)))
+    lines = [",".join(header) + "\n"]
+    lines += ("".join(map(row.__mod__, map(tuple, rows))) for rows in blocks)
+    return "".join(lines)

@@ -1,5 +1,6 @@
 """The compiled kernel: array forms of the shapes, evaluate_many and sweep
-against per-point evaluate, chunking, and sharing a regulator across threads.
+against per-point evaluate, chunking, evaluate's clip of the fired terms,
+peak scratch memory, and sharing a regulator across threads.
 
 Every comparison here is exact (``==``), not approximate: the scalar, batch
 and sweep paths are meant to agree bit for bit. The sign of a zero grade is
@@ -406,7 +407,7 @@ class TestStackedInputs:
         var = mixed_input_regulator(mfs).input_var
         xs = np.linspace(0, 10, samples)
         want = _csv(["x"] + list(var.term_names),
-                    np.column_stack([xs] + [mf.sample(xs) for mf in mfs]).tolist())
+                    [np.column_stack([xs] + [mf.sample(xs) for mf in mfs]).tolist()])
         with chunk_budget(budget):
             assert emit_mf_plot_data(var, samples) == want
 
@@ -456,6 +457,105 @@ class TestCompiledConsequents:
         cached = reference_regulator().consequent_sets[0]
         with pytest.raises(ValueError):
             cached.grades[0] = 0.5
+
+
+def rule_regulator(in_mfs, out_count, consequents):
+    """Input shapes on [0, 100], ``out_count`` triangles on [0, 1], the
+    rule ``i -> consequents[i]`` for each input term, and the midpoint
+    where no rule fires."""
+    vin = LinguisticVariable("in", Universe(0, 100, 101),
+                             tuple(LinguisticTerm(f"i{k}", mf) for k, mf in enumerate(in_mfs)))
+    peaks = np.linspace(0, 1, out_count).tolist() if out_count > 1 else [0.5]
+    vout = LinguisticVariable("out", Universe(0, 1, 101), tuple(
+        LinguisticTerm(f"o{k}", Triangular(max(0.0, p - 0.3), p, min(1.0, p + 0.3)))
+        for k, p in enumerate(peaks)
+    ))
+    rules = tuple(Rule(i, c) for i, c in enumerate(consequents))
+    return Regulator(RuleBase(vin, vout, rules), zero_mass_policy=ZeroMassPolicy.MIDPOINT)
+
+
+def per_rule_strengths(reg, activations):
+    """Each output term's strength, one maximum per rule of the rule base."""
+    strengths = np.zeros((len(reg.output_var.terms), activations.shape[1]))
+    for rule in reg.rulebase.rules:
+        np.maximum(strengths[rule.consequent], activations[rule.antecedent],
+                   out=strengths[rule.consequent])
+    return strengths
+
+
+# (regulator, input, how many output terms fire there)
+FIRING = {
+    "none": (lambda: gap_regulator(ZeroMassPolicy.MIDPOINT), 50.0, 0),
+    "one": (lambda: gap_regulator(ZeroMassPolicy.MIDPOINT), 10.0, 1),
+    "one_term_of_two_rules": (lambda: rule_regulator(
+        [Triangular(0, 0, 50), Triangular(0, 50, 100), Triangular(50, 100, 100)], 2, [0, 0, 1]),
+        25.0, 1),
+    "two": (reference_regulator, 37.3, 2),
+    "three": (lambda: rule_regulator(
+        [Triangular(0, 25, 75), Triangular(0, 50, 100), Triangular(25, 75, 100)], 3, [0, 1, 2]),
+        50.0, 3),
+    "gaussian": (lambda: rule_regulator(
+        [Gaussian(c, 8.0) for c in np.linspace(0, 100, 7).tolist()], 7, range(7)), 37.3, 7),
+}
+
+
+class TestFiredTerms:
+    """``evaluate`` clips only the terms that fire, one by one, however many
+    do; the aggregate equals one dense clip of every term, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(FIRING))
+    def test_aggregate_equals_the_dense_clip(self, case):
+        make, x, fired = FIRING[case]
+        reg = make()
+        trace = reg.evaluate(x)
+        strengths = per_rule_strengths(reg, trace.activations[:, None])[:, 0]
+        assert np.count_nonzero(strengths) == fired
+        dense = np.minimum(strengths[:, None], reg._matrix).max(axis=0)
+        assert np.array_equal(trace.aggregated.grades, dense)
+        assert trace.aggregated.grades.base is None  # owns its samples, not a view
+        if fired:
+            assert defuzz_cog(trace.aggregated) == trace.output
+        else:
+            assert trace.zero_mass_fallback and trace.output == reg.output_universe.midpoint
+        xs = np.linspace(-10, 110, 121)
+        assert reg.evaluate_many(xs).tolist() == [reg.evaluate(x).output for x in xs.tolist()]
+
+
+class TestScratchMemory:
+    """Peak memory, as ``tracemalloc`` sees it, of paths whose scratch was
+    once several times what they return."""
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_evaluate_clips_only_the_fired_terms(self):
+        reg = Regulator(reference_regulator().rulebase, output_resolution=65537)
+        for x in (0.0, 12.0, 37.3, 100.0):
+            reg.evaluate(x)
+            # the aggregate and one row of scratch, 512 KiB each; the dense
+            # clip of all five terms needed 3 MiB
+            _, peak = self.peak(lambda: reg.evaluate(x))
+            assert peak < 1.5 * (1 << 20)
+
+    def test_plot_data_is_formatted_a_block_at_a_time(self):
+        var = reference_regulator().input_var
+        csv, peak = self.peak(lambda: emit_mf_plot_data(var, 1 << 18))
+        # the whole table as Python floats and row strings took 13 times
+        # the size of the CSV
+        assert peak < 3 * len(csv)
+
+    def test_universe_checks_its_grid_in_place(self):
+        u, peak = self.peak(lambda: Universe(0, 1, MAX_SAMPLES))
+        # points and offsets are kept, 8 MiB each; the check took 16 MiB more
+        assert u.points.nbytes + u.offsets.nbytes == 16 << 20
+        assert peak <= 24 << 20
 
 
 class TestPaperPath:
