@@ -186,11 +186,7 @@ def _parse_term(doc, path: str) -> LinguisticTerm:
             f"{path}.params: {type_name} takes {arity} parameters, got {len(raw)}"
         )
     params = [_real(p, f"{path}.params[{i}]") for i, p in enumerate(raw)]
-    try:
-        mf = cls(*params)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}.params: {exc}") from None
-    return LinguisticTerm(name, mf)
+    return LinguisticTerm(name, _at(f"{path}.params", ValidationError, cls, *params))
 
 
 def _parse_variable(doc, path: str) -> LinguisticVariable:
@@ -208,14 +204,8 @@ def _parse_variable(doc, path: str) -> LinguisticVariable:
     terms = tuple(
         _parse_term(t, f"{path}.terms[{i}]") for i, t in enumerate(terms_doc)
     )
-    try:
-        universe = Universe(lo, hi, samples)
-    except InvalidUniverse as exc:
-        raise ValidationError(f"{path}.range: {exc}") from None
-    try:
-        return LinguisticVariable(name, universe, terms)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    universe = _at(f"{path}.range", InvalidUniverse, Universe, lo, hi, samples)
+    return _at(path, ValidationError, LinguisticVariable, name, universe, terms)
 
 
 def _parse_rules(doc, path: str, input_var, output_var) -> tuple[Rule, ...]:
@@ -232,6 +222,15 @@ def _parse_rules(doc, path: str, input_var, output_var) -> tuple[Rule, ...]:
             _term_index(output_var, cons_name, f"{rule_path}.then: unknown output term"),
         ))
     return tuple(rules)
+
+
+def _at(path: str, errors, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, an error of the classes ``errors`` raised
+    again as a ``ValidationError`` whose message ``path`` prefixes."""
+    try:
+        return build(*args, **kwargs)
+    except errors as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _term_index(var: LinguisticVariable, name: str, unknown: str) -> int:
@@ -282,17 +281,14 @@ def parse_config(document: str) -> Regulator:
             f"{sorted(p.value for p in ZeroMassPolicy)}"
         ) from None
 
-    try:
-        rulebase = RuleBase(input_var, output_var, rules)
-    except ValidationError as exc:
-        raise ValidationError(f"rules: {exc}") from None
+    rulebase = _at("rules", ValidationError, RuleBase, input_var, output_var, rules)
     resolution = doc.get("output_resolution")
-    try:
-        return Regulator(rulebase, output_resolution=resolution, zero_mass_policy=zero_mass)
-    except InvalidUniverse as exc:
-        # Regulator's own count check names output_resolution already; a
-        # valid count may still leave the resampled output universe degenerate
-        raise ValidationError(f"output_resolution: {exc}") from None
+    # Regulator's own count check names output_resolution already; a valid
+    # count may still leave the resampled output universe degenerate
+    return _at(
+        "output_resolution", InvalidUniverse, Regulator, rulebase,
+        output_resolution=resolution, zero_mass_policy=zero_mass,
+    )
 
 
 def load_config(path) -> Regulator:

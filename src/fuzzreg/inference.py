@@ -47,13 +47,6 @@ class FuzzyRelation(_Rebuilt):
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FuzzyRelation):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
-
-    __hash__ = None
-
 
 def build_relation(antecedent, consequent) -> FuzzyRelation:
     """Encode one rule "IF A THEN B" as entries[i][j] = min(a[i], b[j])."""
@@ -172,11 +165,10 @@ def infer(
             f"expected {len(rulebase.output_var.terms)} consequent sets, "
             f"got {len(consequents)}"
         )
-    if not all(isinstance(cons, FuzzySet) for cons in consequents):
-        raise ValidationError("consequent sets must be FuzzySet objects")
-    universe = consequents[0].universe
+    what = "infer consequent set"
+    universe = _instance(consequents[0], FuzzySet, what).universe
     for cons in consequents[1:]:
-        if cons.universe != universe:
+        if _instance(cons, FuzzySet, what).universe != universe:
             raise DimensionMismatch("consequent sets must share one output universe")
 
     aggregated = np.zeros(universe.n)

@@ -33,9 +33,11 @@ def _number_array(values, rule: str) -> np.ndarray:
 
 def _instance(value, cls, what: str):
     """``value`` if it is an instance of ``cls``, else ``ValidationError``:
-    the check of every public argument that takes an object, not numbers."""
+    the check of every public argument that takes an object, not numbers.
+    ``cls`` may be a tuple of classes; the message names its first."""
     if not isinstance(value, cls):
-        raise ValidationError(f"{what} must be {cls.__name__}, got {type(value).__name__}")
+        name = (cls[0] if isinstance(cls, tuple) else cls).__name__
+        raise ValidationError(f"{what} must be {name}, got {type(value).__name__}")
     return value
 
 
@@ -107,12 +109,23 @@ def _real(value, what: str) -> float:
 class _Rebuilt:
     """A dataclass whose copies and pickles go through its constructor, so
     that their arrays are read-only and what it derives (a regulator's
-    compiled matrix, a shape's corners) is derived again, not copied."""
+    compiled matrix, a shape's corners) is derived again, not copied.
+
+    One declared ``eq=False``, since its fields hold arrays, compares here:
+    an object of the same class with equal init fields, arrays by value."""
 
     __slots__ = ()
 
     def __reduce__(self):
         return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self.__reduce__()[1], other.__reduce__()[1])
+        )
 
 
 @dataclass(frozen=True)
@@ -444,10 +457,7 @@ class LinguisticTerm:
 
     def __post_init__(self) -> None:
         _check_name(self.name, "term")
-        if not isinstance(self.mf, MembershipFunction):
-            raise ValidationError(
-                f"term {self.name!r} needs a membership function, got {self.mf!r}"
-            )
+        _instance(self.mf, MembershipFunction, f"term {self.name!r} shape")
 
 
 @dataclass(frozen=True)
@@ -564,18 +574,11 @@ class FuzzySet(_Rebuilt):
         return self.universe.n
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.grades.astype(dtype)
-        return self.grades
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FuzzySet):
-            return NotImplemented
-        return self.universe == other.universe and np.array_equal(
-            self.grades, other.grades
-        )
-
-    __hash__ = None
+        # numpy 2 asks for a copy with copy=True; numpy 1.x passes no copy
+        # and copies the result itself where it must
+        if copy:
+            return np.array(self.grades, dtype=dtype)
+        return np.asarray(self.grades, dtype=dtype)
 
 
 def discretize(mf: MembershipFunction, universe: Universe) -> FuzzySet:

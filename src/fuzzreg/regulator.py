@@ -9,7 +9,7 @@ import numpy as np
 
 from . import membership
 from .defuzz import _cog_vector, cog_rows
-from .errors import DimensionMismatch, NonFiniteInput, ValidationError, ZeroMass
+from .errors import DimensionMismatch, NonFiniteInput, ZeroMass
 from .inference import RuleBase
 from .membership import (
     FuzzySet,
@@ -20,6 +20,7 @@ from .membership import (
     _grade_array,
     _instance,
     _number_array,
+    _real,
     _Rebuilt,
 )
 
@@ -48,7 +49,12 @@ class EvalTrace(_Rebuilt):
     zero_mass_fallback: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("input", "clamped_input", "output"):
+            object.__setattr__(self, name, _real(getattr(self, name), f"trace {name}"))
         object.__setattr__(self, "activations", _grade_array(self.activations, "activations"))
+        _instance(self.aggregated, FuzzySet, "trace aggregated set")
+        fallback = _instance(self.zero_mass_fallback, (bool, np.bool_), "trace zero_mass_fallback")
+        object.__setattr__(self, "zero_mass_fallback", bool(fallback))
 
     @classmethod
     def _trusted(
@@ -99,8 +105,7 @@ class Regulator(_Rebuilt):
         res = out_var.universe.n if self.output_resolution is None else self.output_resolution
         object.__setattr__(self, "output_resolution", _count(res, "output_resolution", 2))
         _check_cells(len(out_var.terms), self.output_resolution, "output_resolution")
-        if not isinstance(self.zero_mass_policy, ZeroMassPolicy):
-            raise ValidationError(f"unknown zero-mass policy {self.zero_mass_policy!r}")
+        _instance(self.zero_mass_policy, ZeroMassPolicy, "regulator zero-mass policy")
 
         universe = Universe(out_var.universe.min, out_var.universe.max, self.output_resolution)
         consequents = out_var._grade(universe.points)

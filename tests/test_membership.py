@@ -276,6 +276,27 @@ class TestFuzzySet:
         assert np.asarray(fs).tolist() == [0.0, 0.5, 1.0]
         assert len(fs) == 3
 
+    def test_array_is_a_writable_copy(self):
+        fs = FuzzySet(Universe(0, 1, 3), [0.0, 0.5, 1.0])
+        a = np.array(fs)
+        assert a.flags.writeable and not np.shares_memory(a, fs.grades)
+        a[0] = 1.0
+        assert fs.grades.tolist() == [0.0, 0.5, 1.0]
+
+    def test_asarray_shares_the_grades(self):
+        fs = FuzzySet(Universe(0, 1, 3), [0.0, 0.5, 1.0])
+        assert np.shares_memory(np.asarray(fs), fs.grades)
+
+    def test_array_of_another_dtype(self):
+        a = np.array(FuzzySet(Universe(0, 1, 3), [0.0, 0.5, 1.0]), dtype=np.float32)
+        assert a.dtype == np.float32 and a.tolist() == [0.0, 0.5, 1.0]
+
+    def test_array_without_copy_argument(self):
+        # numpy 1.x calls __array__() or __array__(dtype), with no copy
+        fs = FuzzySet(Universe(0, 1, 3), [0.0, 0.5, 1.0])
+        assert fs.__array__() is fs.grades
+        assert fs.__array__(np.float32).dtype == np.float32
+
 
 class TestLinguisticVariable:
     def _term(self, name, lo, mid, hi):
@@ -457,6 +478,11 @@ class TestCopies:
         assert {k: v for k, v in ours.items() if k not in arrays} == {
             k: v for k, v in theirs.items() if k not in arrays}
 
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("make_copy", COPIES, ids=COPY_IDS)
+    def test_value_equals_its_copy(self, value, make_copy):
+        assert make_copy(value) == value
+
     @pytest.mark.parametrize("make_copy", COPIES, ids=COPY_IDS)
     def test_variable(self, make_copy):
         var = reference_regulator().input_var
@@ -484,3 +510,30 @@ class TestCopies:
             reg.evaluate(x).output for x in xs.tolist()]
         for term in twin.input_var.terms + twin.output_var.terms:
             assert list(vars(term.mf)) == [f.name for f in dataclasses.fields(term.mf)]
+
+
+class TestEquality:
+    """The value types that hold arrays (FuzzySet, FuzzyRelation, EvalTrace)
+    compare by their fields, arrays by value, and are not hashable."""
+
+    def test_traces_of_one_input_are_equal(self):
+        reg = reference_regulator()
+        assert reg.evaluate(37.3) == reg.evaluate(37.3)
+        assert reg.evaluate(37.3) != reg.evaluate(37.4)
+
+    def test_traces_differing_in_one_field_are_not_equal(self):
+        trace = reference_regulator().evaluate(37.3)
+        assert dataclasses.replace(trace, zero_mass_fallback=True) != trace
+        assert dataclasses.replace(trace, output=trace.output + 1.0) != trace
+
+    @pytest.mark.parametrize("value", VALUES[1:], ids=lambda v: type(v).__name__)
+    def test_not_hashable(self, value):
+        with pytest.raises(TypeError):
+            hash(value)
+
+    @pytest.mark.parametrize("value", VALUES[1:3], ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("other", [None, "x", 0.5, object()],
+                             ids=["None", "str", "float", "object"])
+    def test_other_types_are_not_implemented(self, value, other):
+        assert value.__eq__(other) is NotImplemented
+        assert value != other

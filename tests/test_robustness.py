@@ -3,7 +3,9 @@ one rule at every call site, and center of gravity stays exact at extreme
 magnitudes."""
 
 import copy
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,6 +32,7 @@ from fuzzreg import (
     Triangular,
     Universe,
     ValidationError,
+    ZeroMassPolicy,
     ZShoulder,
     build_relation,
     cri,
@@ -476,8 +479,10 @@ class TestGradeRule:
     # objects of every class a public entry takes, each the wrong one for
     # most of the arguments below
     ref = reference_regulator()
+    trace = ref.evaluate(30.0)
     OBJECTS = [ref, ref.rulebase, ref.input_var, ref.consequent_sets, ref.consequent_sets[0],
-               ref.output_universe, Triangular(0, 1, 2), object()]
+               ref.output_universe, Triangular(0, 1, 2), object(), "midpoint",
+               ZeroMassPolicy.MIDPOINT, trace]
     OBJECT_CALLS = {
         "variable_universe": lambda v, t=ref.input_var.terms: LinguisticVariable("x", v, t),
         "variable_terms": lambda v, u=ref.output_universe: LinguisticVariable("x", u, v),
@@ -502,6 +507,17 @@ class TestGradeRule:
         "discretize_universe": lambda v: discretize(Triangular(0, 1, 2), v),
         "singleton_fuzzify": lambda v: singleton_fuzzify(0.5, v),
         "emit_sweep_data": lambda v: emit_sweep_data([(0.0, 1.0), v]),
+        "LinguisticTerm_shape": lambda v: LinguisticTerm("x", v),
+        "infer_consequent": lambda v, ref=ref: infer(
+            ref.rulebase, [1, 0, 0, 0, 0], (v,) + ref.consequent_sets[1:]),
+        "Regulator_zero_mass_policy": lambda v, rb=ref.rulebase: Regulator(
+            rb, zero_mass_policy=v),
+        "EvalTrace_input": lambda v, t=trace: dataclasses.replace(t, input=v),
+        "EvalTrace_clamped_input": lambda v, t=trace: dataclasses.replace(t, clamped_input=v),
+        "EvalTrace_aggregated": lambda v, t=trace: dataclasses.replace(t, aggregated=v),
+        "EvalTrace_output": lambda v, t=trace: dataclasses.replace(t, output=v),
+        "EvalTrace_zero_mass_fallback": lambda v, t=trace: dataclasses.replace(
+            t, zero_mass_fallback=v),
     }
 
     @settings(max_examples=500, deadline=None)
@@ -512,6 +528,42 @@ class TestGradeRule:
             self.OBJECT_CALLS[call](value)
         except FuzzyError:
             pass
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: LinguisticTerm("x", Universe(0, 1, 2)),
+         "term 'x' shape must be MembershipFunction, got Universe"),
+        (lambda ref=ref: infer(ref.rulebase, [1, 0, 0, 0, 0],
+                               ref.consequent_sets[:4] + (np.zeros(101),)),
+         "infer consequent set must be FuzzySet, got ndarray"),
+        (lambda rb=ref.rulebase: Regulator(rb, zero_mass_policy="midpoint"),
+         "regulator zero-mass policy must be ZeroMassPolicy, got str"),
+        (lambda t=trace: dataclasses.replace(t, input="a"),
+         "trace input must be a number, got 'a'"),
+        (lambda t=trace: dataclasses.replace(t, clamped_input=None),
+         "trace clamped_input must be a number, got None"),
+        (lambda t=trace: dataclasses.replace(t, output=True),
+         "trace output must be a number, got True"),
+        (lambda t=trace: dataclasses.replace(t, aggregated=t.aggregated.grades),
+         "trace aggregated set must be FuzzySet, got ndarray"),
+        (lambda t=trace: dataclasses.replace(t, zero_mass_fallback=0),
+         "trace zero_mass_fallback must be bool, got int"),
+        (lambda t=trace: dataclasses.replace(t, zero_mass_fallback=np.float64(0.0)),
+         "trace zero_mass_fallback must be bool, got float64"),
+    ], ids=["term_shape", "infer_consequent", "zero_mass_policy", "trace_input",
+            "trace_clamped_input", "trace_output", "trace_aggregated",
+            "trace_zero_mass_fallback", "trace_zero_mass_fallback_numpy"])
+    def test_object_of_the_wrong_class_is_named(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_trace_of_plain_values_builds(self):
+        fset = FuzzySet(Universe(0, 1, 2), [0, 1])
+        trace = EvalTrace(np.float32(0.5), 1, [0.5], fset, np.float64(0.75))
+        assert (trace.input, trace.clamped_input, trace.output) == (0.5, 1.0, 0.75)
+        assert all(type(v) is float for v in (trace.input, trace.clamped_input, trace.output))
+        assert trace.zero_mass_fallback is False
+        for flag in (np.True_, np.False_):
+            assert dataclasses.replace(trace, zero_mass_fallback=flag).zero_mass_fallback is bool(flag)
 
     @pytest.mark.parametrize("pairs, index", [
         ([(1.0,)], 0), ([(0.0, 1.0), (1.0, "a")], 1), ([(0.0, 1.0), (2.0, 3.0), None], 2),
