@@ -32,6 +32,7 @@ and collections nested deeper than ``MAX_DEPTH`` are rejected as
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import yaml
@@ -292,11 +293,14 @@ def parse_config(document: str) -> Regulator:
 
 
 def load_config(path) -> Regulator:
-    """Read and parse a controller file, which must be UTF-8 text."""
+    """Read and parse a UTF-8 controller file; an unreadable one is a ``ParseError`` naming it."""
+    _instance(path, (str, os.PathLike), "load_config path")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    except (OSError, ValueError) as exc:  # missing, a directory, a NUL in the name
+        raise ParseError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
     return parse_config(text)
 
 

@@ -19,8 +19,8 @@ from .errors import DimensionMismatch, EmptyRuleBase, ValidationError
 from .membership import FuzzySet, LinguisticVariable, _count, _grade_array, _instance, _Rebuilt
 
 
-def _grades(values) -> np.ndarray:
-    g = _grade_array(values, "grades")
+def _grades(values, what: str = "grades") -> np.ndarray:
+    g = _grade_array(values, what)
     if g.ndim != 1:
         raise DimensionMismatch(f"expected a grade vector, got shape {g.shape}")
     return g
@@ -58,15 +58,12 @@ def build_relation(antecedent, consequent) -> FuzzyRelation:
 def cri(relation, activation) -> np.ndarray:
     """Max-min composition: out[j] = max over i of min(ap[i], R[i][j]).
 
-    ``relation`` may be a :class:`FuzzyRelation` or a plain matrix. The
-    result has one grade per relation column.
+    ``relation`` may be a :class:`FuzzyRelation` or a plain matrix, taken
+    as one. The result has one grade per relation column.
     """
-    if isinstance(relation, FuzzyRelation):
-        r = relation.entries
-    else:
-        r = _grade_array(relation, "relation entries")
-    if r.ndim != 2:
-        raise DimensionMismatch(f"relation must be a 2-D matrix, got shape {r.shape}")
+    if not isinstance(relation, FuzzyRelation):
+        relation = FuzzyRelation(relation)
+    r = relation.entries
     ap = _grades(activation)
     if ap.shape[0] != r.shape[0]:
         raise DimensionMismatch(

@@ -496,7 +496,6 @@ class LinguisticVariable(_Rebuilt):
         # subclass of a built-in one may override __call__, so test the class
         built_in = all(type(mf) in _SHAPE_CLASSES for mf in mfs)
         object.__setattr__(self, "_check_grades", not built_in)
-        object.__setattr__(self, "_bounds", (u.min, u.max))
 
     @property
     def term_names(self) -> tuple[str, ...]:
@@ -517,8 +516,7 @@ class LinguisticVariable(_Rebuilt):
         x = x0 if type(x0) is float else _real(x0, "crisp input")
         if not math.isfinite(x):
             raise NonFiniteInput(f"crisp input must be finite, got {x0!r}")
-        lo, hi = self._bounds
-        clamped = min(max(x, lo), hi)
+        clamped = self.universe.clamp(x)
         # the scalar shape forms equal the array forms _grade uses
         grades = [mf(clamped) for mf in self._mfs]
         if self._check_grades and not all(0.0 <= g <= 1.0 for g in grades):
@@ -574,11 +572,7 @@ class FuzzySet(_Rebuilt):
         return self.universe.n
 
     def __array__(self, dtype=None, copy=None):
-        # numpy 2 asks for a copy with copy=True; numpy 1.x passes no copy
-        # and copies the result itself where it must
-        if copy:
-            return np.array(self.grades, dtype=dtype)
-        return np.asarray(self.grades, dtype=dtype)
+        return np.array(self.grades, dtype=dtype, copy=copy)
 
 
 def discretize(mf: MembershipFunction, universe: Universe) -> FuzzySet:

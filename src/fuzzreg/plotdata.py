@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 
 import numpy as np
@@ -38,18 +39,18 @@ def emit_mf_plot_data(var: LinguisticVariable, samples: int) -> str:
 
 
 def emit_sweep_data(pairs) -> str:
-    """CSV of (input, output) response pairs with an ``input,output`` header."""
-    pairs = list(_instance(pairs, Iterable, "sweep pairs"))
-    try:
-        return _csv(["input", "output"], [pairs])
-    except (OverflowError, TypeError, ValueError):
-        # name the first pair that the row format cannot print
-        for i, pair in enumerate(pairs):
-            try:
-                _csv(["input", "output"], [[pair]])
-            except (OverflowError, TypeError, ValueError):
-                raise ValidationError(f"sweep pair {i} must be two numbers, got {pair!r}") from None
-        raise
+    """CSV of (input, output) pairs, each two finite numbers, under an ``input,output`` header."""
+    rows = []
+    for i, pair in enumerate(_instance(pairs, Iterable, "sweep pairs")):
+        try:
+            x, y = pair
+            x, y = _real(x, "sweep input"), _real(y, "sweep output")
+        except (TypeError, ValueError):  # not a pair, or not of numbers
+            x = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValidationError(f"sweep pair {i} must be two numbers, got {pair!r}")
+        rows.append((x, y))
+    return _csv(["input", "output"], [rows])
 
 
 def _csv(header: list[str], blocks) -> str:

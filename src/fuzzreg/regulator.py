@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -10,14 +10,13 @@ import numpy as np
 from . import membership
 from .defuzz import _cog_vector, cog_rows
 from .errors import DimensionMismatch, NonFiniteInput, ZeroMass
-from .inference import RuleBase
+from .inference import RuleBase, _grades
 from .membership import (
     FuzzySet,
     LinguisticVariable,
     Universe,
     _check_cells,
     _count,
-    _grade_array,
     _instance,
     _number_array,
     _real,
@@ -51,7 +50,7 @@ class EvalTrace(_Rebuilt):
     def __post_init__(self) -> None:
         for name in ("input", "clamped_input", "output"):
             object.__setattr__(self, name, _real(getattr(self, name), f"trace {name}"))
-        object.__setattr__(self, "activations", _grade_array(self.activations, "activations"))
+        object.__setattr__(self, "activations", _grades(self.activations, "activations"))
         _instance(self.aggregated, FuzzySet, "trace aggregated set")
         fallback = _instance(self.zero_mass_fallback, (bool, np.bool_), "trace zero_mass_fallback")
         object.__setattr__(self, "zero_mass_fallback", bool(fallback))
@@ -99,6 +98,10 @@ class Regulator(_Rebuilt):
     rulebase: RuleBase
     output_resolution: int | None = None
     zero_mass_policy: ZeroMassPolicy = ZeroMassPolicy.ERROR
+    # derived: the resampled output universe, and each output term on it as
+    # a read-only view of its row of the compiled matrix, in term order
+    output_universe: Universe = field(init=False, repr=False, compare=False)
+    consequent_sets: tuple[FuzzySet, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         out_var = _instance(self.rulebase, RuleBase, "regulator rule base").output_var
@@ -117,13 +120,13 @@ class Regulator(_Rebuilt):
             last = universe.n - int(positive[::-1].argmax())
             spans.append((first, last) if positive[first] else (0, 0))
         rules = self.rulebase.rules
-        object.__setattr__(self, "_output_universe", universe)
+        object.__setattr__(self, "output_universe", universe)
         object.__setattr__(self, "_matrix", consequents)
         object.__setattr__(self, "_spans", tuple(spans))
         object.__setattr__(self, "_rule_pairs", tuple((r.antecedent, r.consequent) for r in rules))
         object.__setattr__(
             self,
-            "_consequents",
+            "consequent_sets",
             tuple(FuzzySet._trusted(universe, row) for row in consequents),
         )
 
@@ -134,16 +137,6 @@ class Regulator(_Rebuilt):
     @property
     def output_var(self) -> LinguisticVariable:
         return self.rulebase.output_var
-
-    @property
-    def output_universe(self) -> Universe:
-        return self._output_universe
-
-    @property
-    def consequent_sets(self) -> tuple[FuzzySet, ...]:
-        """Cached discretization of each output term, in term order; each
-        is a read-only view of one row of the compiled consequent matrix."""
-        return self._consequents
 
     def _strengths(self, activations: np.ndarray) -> np.ndarray:
         """Firing strength of every output term, output terms x inputs: the
@@ -183,7 +176,7 @@ class Regulator(_Rebuilt):
         if self.zero_mass_policy is ZeroMassPolicy.ERROR:
             why = _NO_SAMPLE if fired else _NO_RULE
             raise ZeroMass(why if at is None else f"at input {at}: {why}")
-        return self._output_universe.midpoint
+        return self.output_universe.midpoint
 
     def evaluate(self, x0: float) -> EvalTrace:
         """Run the full pipeline for one crisp input and keep every stage.
@@ -204,7 +197,7 @@ class Regulator(_Rebuilt):
                     fired.append(c)
                 strengths[c] = grades[a]
         matrix = self._matrix
-        universe = self._output_universe
+        universe = self.output_universe
         # Only the terms that fire are clipped: one that does not clips to
         # zeros, which leave the max unchanged. The aggregate starts as the
         # first fired term's clip (term 0's at strength 0, all zeros, when
@@ -243,7 +236,7 @@ class Regulator(_Rebuilt):
         if not finite.all():
             bad = xs[int(np.argmin(finite))]
             raise NonFiniteInput(f"crisp input must be finite, got {float(bad)!r}")
-        universe, in_var = self._output_universe, self.rulebase.input_var
+        universe, in_var = self.output_universe, self.rulebase.input_var
         clamped = np.clip(xs, in_var.universe.min, in_var.universe.max)
         outputs = np.empty(xs.shape[0])
         chunk = membership.CHUNK_ELEMENTS

@@ -29,6 +29,7 @@ from fuzzreg import (
     union,
 )
 from fuzzreg.cli import cli_main
+from oracles import cog_oracle, max_min_oracle
 
 RNG_SEED = 20260808
 
@@ -57,20 +58,6 @@ def oracle_relation(a, b):
     return [[min(ai, bj) for bj in b] for ai in a]
 
 
-def oracle_max_min(r, ap):
-    m, n = len(r), len(r[0])
-    return [max(min(ap[i], r[i][j]) for i in range(m)) for j in range(n)]
-
-
-def oracle_cog(points, grades):
-    s1 = 0.0
-    s2 = 0.0
-    for p, g in zip(points, grades):
-        s1 += g
-        s2 += p * g
-    return s2 / s1
-
-
 # -------------------------------------------------------------- criteria --
 
 @criterion(1, "worked relation example and its max-min composition")
@@ -92,7 +79,7 @@ def test_c1_worked_example():
     # the composition is pinned to the longhand oracle
     composed = cri(r, ap)
     assert composed.tolist() == [0.0, 0.0, 0.1, 0.5, 1.0]
-    assert composed.tolist() == oracle_max_min(printed, ap)
+    assert composed.tolist() == max_min_oracle(printed, ap)
 
 
 @criterion(2, "composition recovers the consequent for 1000 normal antecedents")
@@ -132,10 +119,10 @@ def test_c3_clip_vs_relation():
         one_hot[i0] = 1.0
         relation_path = cri(build_relation(a, b), one_hot)
         assert np.max(np.abs(clipped - relation_path)) <= 1e-12
-        assert np.max(np.abs(clipped - oracle_max_min(oracle_relation(a, b), one_hot))) <= 1e-12
+        assert np.max(np.abs(clipped - max_min_oracle(oracle_relation(a, b), one_hot))) <= 1e-12
 
 
-@criterion(4, "center of gravity matches the longhand loop and its algebra")
+@criterion(4, "center of gravity matches the exact oracle and its algebra")
 def test_c4_defuzz():
     rng = np.random.default_rng(RNG_SEED + 2)
     for _ in range(1000):
@@ -148,7 +135,7 @@ def test_c4_defuzz():
         fs = FuzzySet(u, g)
 
         y = defuzz_cog(fs)
-        ref = oracle_cog(u.points, g)
+        ref = cog_oracle(u.points, g)
         assert abs(y - ref) <= 1e-12 * max(1.0, abs(ref))
         # bounded
         assert u.min <= y <= u.max
@@ -174,7 +161,7 @@ def test_c5_peak_recovery():
     for rule in reg.rulebase.rules:
         term = reg.input_var.terms[rule.antecedent]
         cons = reg.consequent_sets[rule.consequent]
-        expected = oracle_cog(cons.universe.points, cons.grades)
+        expected = cog_oracle(cons.universe.points, cons.grades)
         assert reg.evaluate(peaks[term.name]).output == pytest.approx(
             expected, abs=1e-9
         )
@@ -188,8 +175,8 @@ def test_c6_response_curve():
     assert all(y2 <= y1 + 1e-9 for y1, y2 in zip(ys, ys[1:]))
     cvb = reg.consequent_sets[4]
     cvs = reg.consequent_sets[0]
-    assert ys[0] == pytest.approx(oracle_cog(cvb.universe.points, cvb.grades), abs=1e-9)
-    assert ys[-1] == pytest.approx(oracle_cog(cvs.universe.points, cvs.grades), abs=1e-9)
+    assert ys[0] == pytest.approx(cog_oracle(cvb.universe.points, cvb.grades), abs=1e-9)
+    assert ys[-1] == pytest.approx(cog_oracle(cvs.universe.points, cvs.grades), abs=1e-9)
 
 
 @criterion(7, "config round-trip plus the declared validation diagnostics")

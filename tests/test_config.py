@@ -8,6 +8,7 @@ every document it accepts.
 """
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -135,6 +136,23 @@ class TestDocumentErrors:
         with pytest.raises(ValidationError, match="extra"):
             parse_config(MINIMAL + "\nextra: 1\n")
 
+    def test_unhashable_key(self):
+        with pytest.raises(ParseError, match="found unhashable key"):
+            parse_config(MINIMAL + "\n? [a, b]\n: 1\n")
+
+
+class TestLoadConfig:
+    def test_path_must_be_a_path(self):
+        with pytest.raises(ValidationError, match="^load_config path must be str, got NoneType$"):
+            load_config(None)
+
+    @pytest.mark.parametrize("name, why", [("nope.yaml", "No such file or directory"),
+                                           (".", "Is a directory")])
+    def test_unreadable_file_is_named(self, tmp_path, name, why):
+        path = tmp_path / name
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: cannot read: {why}$"):
+            load_config(path)
+
 
 class TestValidationDiagnostics:
     def test_unknown_mf_type_is_named(self):
@@ -164,6 +182,12 @@ class TestValidationDiagnostics:
              "{name: small, type: triangular, params: [5.0, 2.0, 9.0]}"}
         )
         with pytest.raises(ValidationError, match=r"output\.terms\[0\]\.params"):
+            parse_config(text)
+
+    def test_params_must_be_a_list(self):
+        text = with_lines({"{name: lo, type: zshoulder, params: [2.0, 8.0]}":
+                           "{name: lo, type: zshoulder, params: 2.0}"})
+        with pytest.raises(ValidationError, match=r"^input\.terms\[0\]\.params: expected a list of numbers$"):
             parse_config(text)
 
     def test_wrong_param_count(self):

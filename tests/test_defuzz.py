@@ -18,16 +18,7 @@ from fuzzreg import (
     discretize,
 )
 from fuzzreg.defuzz import _cog_vector, cog_rows
-
-
-def cog_oracle(points, grades):
-    """The weighted-average loop, written out longhand."""
-    s1 = 0.0
-    s2 = 0.0
-    for p, g in zip(points, grades):
-        s1 += g
-        s2 += p * g
-    return s2 / s1
+from oracles import cog_oracle
 
 
 def _set(lo, hi, grades):

@@ -1,5 +1,7 @@
 """Implication matrices, max-min composition, union and rule aggregation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,6 +26,7 @@ from fuzzreg import (
     infer,
     union,
 )
+from oracles import max_min_oracle
 
 # Worked five-sample example: a falling antecedent against a rising
 # consequent. Small enough to check every entry by hand.
@@ -36,12 +39,6 @@ EXPECTED_R = [
     [0.0, 0.0, 0.0, 0.0, 0.0],
     [0.0, 0.0, 0.0, 0.0, 0.0],
 ]
-
-
-def max_min_oracle(r, ap):
-    """Literal max-min composition, written as the definition reads."""
-    m, n = len(r), len(r[0])
-    return [max(min(ap[i], r[i][j]) for i in range(m)) for j in range(n)]
 
 
 grade_vec = arrays(np.float64, st.shared(st.integers(1, 16), key="n"),
@@ -98,7 +95,7 @@ class TestCri:
     def test_worked_example_composition(self):
         # column 3: max(min(1,.5), min(.5,.5), min(.1,.1), 0, 0) = 0.5 --
         # easy to mis-copy as 0.1 from the neighbouring column, so the
-        # expectation is pinned to the literal oracle above
+        # expectation is pinned to the literal oracle
         r = build_relation(AP, B)
         out = cri(r, AP)
         assert out.tolist() == [0.0, 0.0, 0.1, 0.5, 1.0]
@@ -111,6 +108,14 @@ class TestCri:
         r = build_relation(AP, B)
         with pytest.raises(DimensionMismatch):
             cri(r, [1.0, 0.0])
+
+    @pytest.mark.parametrize("matrix, ap", [
+        (np.zeros((0, 3)), []), (np.zeros((2, 0)), [1.0, 1.0]), ([0.5, 0.5], [1.0, 1.0]),
+    ], ids=["no_rows", "no_columns", "vector"])
+    def test_plain_matrix_follows_the_relation_rule(self, matrix, ap):
+        shape = re.escape(str(np.shape(matrix)))
+        with pytest.raises(ValidationError, match=f"^relation must be a 2-D matrix, got shape {shape}$"):
+            cri(matrix, ap)
 
     @given(data=st.data())
     def test_matches_oracle_on_random_instances(self, data):

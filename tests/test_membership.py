@@ -292,7 +292,7 @@ class TestFuzzySet:
         assert a.dtype == np.float32 and a.tolist() == [0.0, 0.5, 1.0]
 
     def test_array_without_copy_argument(self):
-        # numpy 1.x calls __array__() or __array__(dtype), with no copy
+        # a direct call passes no copy: numpy copies only to convert
         fs = FuzzySet(Universe(0, 1, 3), [0.0, 0.5, 1.0])
         assert fs.__array__() is fs.grades
         assert fs.__array__(np.float32).dtype == np.float32
@@ -525,6 +525,15 @@ class TestEquality:
         trace = reference_regulator().evaluate(37.3)
         assert dataclasses.replace(trace, zero_mass_fallback=True) != trace
         assert dataclasses.replace(trace, output=trace.output + 1.0) != trace
+
+    def test_comparison_with_an_array_is_elementwise(self):
+        # numpy reads the set through __array__, which ufuncs need too
+        fset = FuzzySet(Universe(0, 1, 3), [0, 0.5, 1])
+        arr = np.array([0, 0.5, 0.75])
+        for result in (fset == arr, arr == fset):
+            assert isinstance(result, np.ndarray) and result.tolist() == [True, True, False]
+        assert np.maximum(fset, arr).tolist() == [0, 0.5, 1]
+        assert (fset == [0, 0.5, 1]) is False
 
     @pytest.mark.parametrize("value", VALUES[1:], ids=lambda v: type(v).__name__)
     def test_not_hashable(self, value):

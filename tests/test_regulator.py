@@ -27,7 +27,7 @@ from fuzzreg import (
     infer,
     reference_regulator,
 )
-from test_defuzz import cog_oracle
+from oracles import cog_oracle
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzreg import (
+    DimensionMismatch,
     EvalTrace,
     FuzzyError,
     FuzzyRelation,
@@ -42,6 +44,7 @@ from fuzzreg import (
     emit_sweep_data,
     format_value,
     infer,
+    load_config,
     mf_parameters,
     parse_config,
     reference_regulator,
@@ -493,6 +496,7 @@ class TestGradeRule:
         "RuleBase_rule": lambda v, rb=ref.rulebase: RuleBase(rb.input_var, rb.output_var, [v]),
         "serialize_config": serialize_config,
         "parse_config": parse_config,
+        "load_config": load_config,
         "emit_sweep_data_pairs": emit_sweep_data,
         "format_value": format_value,
         "Triangular.sample": Triangular(0, 1, 2).sample,
@@ -565,9 +569,18 @@ class TestGradeRule:
         for flag in (np.True_, np.False_):
             assert dataclasses.replace(trace, zero_mass_fallback=flag).zero_mass_fallback is bool(flag)
 
+    def test_trace_activations_follow_the_grade_vector_rule(self):
+        fset = FuzzySet(Universe(0, 1, 2), [0, 1])
+        with pytest.raises(DimensionMismatch, match=r"^expected a grade vector, got shape \(1, 1\)$"):
+            EvalTrace(0.5, 0.5, [[0.5]], fset, 0.5)
+        with pytest.raises(ValidationError, match=r"^activations must lie in \[0, 1\]$"):
+            EvalTrace(0.5, 0.5, [1.5], fset, 0.5)
+
     @pytest.mark.parametrize("pairs, index", [
         ([(1.0,)], 0), ([(0.0, 1.0), (1.0, "a")], 1), ([(0.0, 1.0), (2.0, 3.0), None], 2),
         ([(0.0, 1.0, 2.0)], 0), ([(0.0, 10**400)], 0),
+        ([(True, 1.0)], 0), ([(np.True_, 1.0)], 0), ([(Decimal("1.5"), 2.0)], 0),
+        ([(1.0, math.inf)], 0), ([(math.nan, 1.0)], 0),
     ])
     def test_sweep_pair_that_is_not_two_numbers_is_named(self, pairs, index):
         with pytest.raises(ValidationError, match=f"^sweep pair {index} must be two numbers"):
