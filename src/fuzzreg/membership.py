@@ -19,16 +19,16 @@ from .errors import FuzzyError, InvalidUniverse, NonFiniteInput, ValidationError
 
 
 def _number_array(values, rule: str) -> np.ndarray:
-    """A caller's ``values`` as an array of an integer or float dtype: not
-    strings, not bools. Anything else, ragged nesting included, raises
-    ``ValidationError`` with the message ``rule``."""
+    """A caller's ``values``, which must be of an integer or float dtype (not
+    strings, not bools), as a float array. Anything else, ragged nesting
+    included, raises ``ValidationError`` with the message ``rule``."""
     try:
         arr = np.asarray(values)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"{rule} ({exc})") from None
     if arr.dtype.kind not in "iuf":
         raise ValidationError(f"{rule}, got dtype {arr.dtype}")
-    return arr
+    return arr.astype(float, copy=False)
 
 
 def _instance(value, cls, what: str):
@@ -46,7 +46,7 @@ def _grade_array(values, what: str) -> np.ndarray:
     must be a number in ``[0, 1]``, else ``ValidationError``; the copy
     leaves the caller's array writable."""
     arr = _number_array(values, f"{what} must be numbers in [0, 1]")
-    arr = np.array(arr, dtype=float, order="C")
+    arr = np.array(arr, order="C")
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValidationError(f"{what} must lie in [0, 1]")
     arr.setflags(write=False)
@@ -90,20 +90,22 @@ def _check_cells(terms: int, samples: int, what: str) -> None:
         raise ValidationError(f"{what} {samples} x {terms} terms exceeds MAX_CELLS ({MAX_CELLS})")
 
 
-def _real(value, what: str) -> float:
-    """``value`` as a ``float`` if it is a real number: a ``numbers.Real``
-    that is not a bool, which takes in numpy's integer and floating
-    scalars. Strings, bools and anything else raise ``ValidationError``;
-    an integer too large for a double becomes an infinity, for the
-    caller's finite check to reject."""
-    if type(value) is float:  # the common case, ahead of the slower checks
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+def _real(value, what: str, error: type[FuzzyError] = ValidationError) -> float:
+    """``value`` as a ``float`` if it is a finite real number, the rule of
+    every crisp number the library takes: a ``numbers.Real`` that is not a
+    bool, so numpy's integer and floating scalars pass. Strings, bools and
+    anything else raise ``ValidationError``; NaN, an infinity and an
+    integer too large for a double raise ``error``."""
+    if type(value) is not float:  # a float, the common case, skips these checks
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{what} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise error(f"{what} must be finite, got {value!r}")
+    return value
 
 
 class _Rebuilt:
@@ -148,11 +150,9 @@ class Universe(_Rebuilt):
         # + 0.0 stores a -0.0 bound as 0.0: numpy's maximum and minimum
         # may return either zero on a tie, Python's max and min the first,
         # and the two forms of center of gravity clamp to these bounds
-        object.__setattr__(self, "min", _real(self.min, "universe min") + 0.0)
-        object.__setattr__(self, "max", _real(self.max, "universe max") + 0.0)
+        object.__setattr__(self, "min", _real(self.min, "universe min", InvalidUniverse) + 0.0)
+        object.__setattr__(self, "max", _real(self.max, "universe max", InvalidUniverse) + 0.0)
         object.__setattr__(self, "n", _count(self.n, "sample count", 2, InvalidUniverse))
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise InvalidUniverse("universe bounds must be finite")
         if not self.min < self.max:
             raise InvalidUniverse(f"need min < max, got [{self.min}, {self.max}]")
         if not math.isfinite(self.span):
@@ -225,7 +225,7 @@ def _sampled(grade, xs, *params) -> np.ndarray:
     """``grade(points, *params)`` at a caller's ``xs``, which must be
     numbers (``_number_array``), graded as one vector and returned in the
     shape of ``xs``: a 0-d ``xs`` gives a 0-d array under every shape."""
-    xs = _number_array(xs, "sample points must be real numbers").astype(float, copy=False)
+    xs = _number_array(xs, "sample points must be real numbers")
     return grade(xs.reshape(-1), *params).reshape(xs.shape)
 
 
@@ -265,10 +265,7 @@ class MembershipFunction:
 
     def _coerce(self, *names: str) -> None:
         for name in names:
-            what = f"{type(self).__name__}.{name}"
-            value = _real(getattr(self, name), what)
-            if not math.isfinite(value):
-                raise ValidationError(f"{what} must be finite")
+            value = _real(getattr(self, name), f"{type(self).__name__}.{name}")
             # + 0.0 turns -0.0 into 0.0: a vertical edge from 0.0 to -0.0
             # would divide by -0.0 and flip the sign of its ramp
             object.__setattr__(self, name, value + 0.0)
@@ -512,10 +509,7 @@ class LinguisticVariable(_Rebuilt):
         its grade under each term, checked to lie in ``[0, 1]`` unless every
         shape is a built-in one (a user-defined shape's ``mf(x)`` is checked
         nowhere else)."""
-        # a float skips the type check: it is almost every call
-        x = x0 if type(x0) is float else _real(x0, "crisp input")
-        if not math.isfinite(x):
-            raise NonFiniteInput(f"crisp input must be finite, got {x0!r}")
+        x = _real(x0, "crisp input", NonFiniteInput)
         clamped = self.universe.clamp(x)
         # the scalar shape forms equal the array forms _grade uses
         grades = [mf(clamped) for mf in self._mfs]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 
 import numpy as np
@@ -16,7 +15,8 @@ _FORMAT = "%.6g"
 
 
 def format_value(v: float) -> str:
-    """One CSV value, a real number, printed with ``_FORMAT``."""
+    """One CSV value, a finite real number (``membership._real``), printed
+    with ``_FORMAT``."""
     return _FORMAT % _real(v, "CSV value")
 
 
@@ -44,12 +44,9 @@ def emit_sweep_data(pairs) -> str:
     for i, pair in enumerate(_instance(pairs, Iterable, "sweep pairs")):
         try:
             x, y = pair
-            x, y = _real(x, "sweep input"), _real(y, "sweep output")
-        except (TypeError, ValueError):  # not a pair, or not of numbers
-            x = math.nan
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValidationError(f"sweep pair {i} must be two numbers, got {pair!r}")
-        rows.append((x, y))
+            rows.append((_real(x, "sweep input"), _real(y, "sweep output")))
+        except (TypeError, ValueError):  # not a pair, or not of finite numbers
+            raise ValidationError(f"sweep pair {i} must be two numbers, got {pair!r}") from None
     return _csv(["input", "output"], [rows])
 
 

@@ -229,13 +229,12 @@ class Regulator(_Rebuilt):
         allocated once per call: memory stays bounded however many inputs
         there are.
         """
-        xs = _number_array(xs, "crisp inputs must be real numbers").astype(float, copy=False)
+        xs = _number_array(xs, "crisp inputs must be real numbers")
         if xs.ndim != 1:
             raise DimensionMismatch(f"expected a vector of inputs, got shape {xs.shape}")
         finite = np.isfinite(xs)
-        if not finite.all():
-            bad = xs[int(np.argmin(finite))]
-            raise NonFiniteInput(f"crisp input must be finite, got {float(bad)!r}")
+        if not finite.all():  # the first non-finite input fails the number rule
+            _real(xs[int(np.argmin(finite))], "crisp input", NonFiniteInput)
         universe, in_var = self.output_universe, self.rulebase.input_var
         clamped = np.clip(xs, in_var.universe.min, in_var.universe.max)
         outputs = np.empty(xs.shape[0])

@@ -1,9 +1,11 @@
 """Command line surface: subcommands, data streams and exit codes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from fuzzreg import reference_config_path
+from fuzzreg import reference_config_path, reference_regulator, serialize_config
 from fuzzreg.cli import cli_main
 
 REF = str(reference_config_path())
@@ -266,3 +268,22 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "eval" in capsys.readouterr().out
+
+
+class TestPinnedOutputs:
+    """The reference controller's serialized document and two CLI outputs,
+    pinned by SHA-256: a change that moves any of their bytes shows here."""
+
+    @staticmethod
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_reference_outputs_keep_their_bytes(self, capsys):
+        assert self.digest(serialize_config(reference_regulator())) == (
+            "3a05aeba650863d334fe5e37a0e049eb9f6337df5076cb5c3a9119478799a81c")
+        assert cli_main(["eval", "--config", REF, "--input", "37.3", "--trace"]) == 0
+        assert self.digest(capsys.readouterr().out) == (
+            "b5a800854237c0691f6142b05a833ec4ba357427bfd3e699a904f061711cd7a8")
+        assert cli_main(["sweep", "--config", REF, "--steps", "101"]) == 0
+        assert self.digest(capsys.readouterr().out) == (
+            "8d8eff006dba4e35adfb16588df7da86bb8e06c7fbf00d40df0ff223e1f5b4db")

@@ -263,8 +263,8 @@ class TestNumbersAndCounts:
     every rejection names its field."""
 
     @pytest.mark.parametrize("text, path", [
-        (with_lines({"range: [0.0, 10.0]": f"range: [0.0, {HUGE}]"}), r"input\.range: "),
-        (with_lines({LO_TERM: LO_TERM.replace("8.0", HUGE)}), r"input\.terms\[0\]\.params: "),
+        (with_lines({"range: [0.0, 10.0]": f"range: [0.0, {HUGE}]"}), r"input\.range\[1\] "),
+        (with_lines({LO_TERM: LO_TERM.replace("8.0", HUGE)}), r"input\.terms\[0\]\.params\[1\] "),
         (with_lines({IN_SAMPLES: IN_SAMPLES.replace("11", HUGE)}), r"input\.samples "),
         (MINIMAL + f"output_resolution: {HUGE}\n", r"output_resolution "),
     ], ids=["range", "params", "samples", "output_resolution"])

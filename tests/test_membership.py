@@ -72,10 +72,6 @@ class TestUniverse:
         with pytest.raises(InvalidUniverse):
             Universe(0, 1, 1)
 
-    def test_non_finite_bounds_rejected(self):
-        with pytest.raises(InvalidUniverse):
-            Universe(0, math.inf, 5)
-
     @given(
         lo=st.floats(-1e6, 1e6, allow_nan=False),
         span=st.floats(1e-3, 1e6, allow_nan=False),
@@ -144,10 +140,6 @@ class TestTriangular:
     def test_zero_width_rejected(self):
         with pytest.raises(ValidationError):
             Triangular(1, 1, 1)
-
-    def test_non_finite_parameter_rejected(self):
-        with pytest.raises(ValidationError):
-            Triangular(0, 1, math.nan)
 
     def test_non_numeric_parameter_rejected(self):
         with pytest.raises(ValidationError):

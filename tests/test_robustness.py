@@ -11,6 +11,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +48,7 @@ from fuzzreg import (
     load_config,
     mf_parameters,
     parse_config,
+    reference_config_path,
     reference_regulator,
     serialize_config,
     singleton_fuzzify,
@@ -55,6 +57,13 @@ from fuzzreg import (
 from fuzzreg.membership import MAX_CELLS, MAX_SAMPLES, _count
 
 NOT_COUNTS = [math.inf, -math.inf, math.nan, 2.5, True, "7", None]
+
+
+def parse_reference(old: str, numbers: list) -> Regulator:
+    """The reference document, its first flow list ``old`` replaced by
+    ``numbers`` written in YAML, parsed."""
+    flow = yaml.safe_dump(numbers, default_flow_style=True).strip()
+    return parse_config(reference_config_path().read_text().replace(old, flow, 1))
 
 
 class TestCountValidator:
@@ -383,8 +392,6 @@ class TestNumericInputs:
         for bad in ("0", True, None):
             with pytest.raises(ValidationError, match="universe min must be a number"):
                 Universe(bad, 1.0, 4)
-        with pytest.raises(InvalidUniverse, match="finite"):
-            Universe(0.0, 10**400, 4)
 
     def test_shape_parameters_accept_numpy_scalars(self):
         mf = Triangular(np.float32(0.5), np.int64(1), np.float64(2.0))
@@ -532,6 +539,49 @@ class TestGradeRule:
             self.OBJECT_CALLS[call](value)
         except FuzzyError:
             pass
+
+    # every entry that takes a crisp number: what it raises for a number
+    # that is not finite, and the field its message starts with
+    NUMBER_CALLS = {
+        "evaluate": (ref.evaluate, NonFiniteInput, "crisp input"),
+        "evaluate_many": (lambda v, ref=ref: ref.evaluate_many([0.5, v]), NonFiniteInput,
+                          "crisp input"),
+        "singleton_fuzzify": (lambda v, var=ref.input_var: singleton_fuzzify(v, var),
+                              NonFiniteInput, "crisp input"),
+        "Universe.min": (lambda v: Universe(v, 1.0, 3), InvalidUniverse, "universe min"),
+        "Universe.max": (lambda v: Universe(0.0, v, 3), InvalidUniverse, "universe max"),
+        "Triangular.c": (lambda v: Triangular(0.0, 1.0, v), ValidationError, "Triangular.c"),
+        "Trapezoidal.a": (lambda v: Trapezoidal(v, 1.0, 2.0, 3.0), ValidationError,
+                          "Trapezoidal.a"),
+        "Gaussian.sigma": (lambda v: Gaussian(0.0, v), ValidationError, "Gaussian.sigma"),
+        "ZShoulder.b": (lambda v: ZShoulder(0.0, v), ValidationError, "ZShoulder.b"),
+        "SShoulder.a": (lambda v: SShoulder(v, 1.0), ValidationError, "SShoulder.a"),
+        "EvalTrace.input": (lambda v, t=trace: dataclasses.replace(t, input=v),
+                            ValidationError, "trace input"),
+        "EvalTrace.clamped_input": (lambda v, t=trace: dataclasses.replace(t, clamped_input=v),
+                                    ValidationError, "trace clamped_input"),
+        "EvalTrace.output": (lambda v, t=trace: dataclasses.replace(t, output=v),
+                             ValidationError, "trace output"),
+        "format_value": (format_value, ValidationError, "CSV value"),
+        "emit_sweep_data": (lambda v: emit_sweep_data([(0.0, 1.0), (0.5, v)]), ValidationError,
+                            "sweep pair 1"),
+        "document_range": (lambda v: parse_reference("[0.0, 100.0]", [0.0, v]),
+                           ValidationError, "input.range[1]"),
+        "document_params": (lambda v: parse_reference("[0.0, 25.0]", [0.0, v]),
+                            ValidationError, "input.terms[0].params[1]"),
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "huge_int"])
+    @pytest.mark.parametrize("call", sorted(NUMBER_CALLS))
+    def test_non_finite_number_names_its_field(self, call, value):
+        run, error, field = self.NUMBER_CALLS[call]
+        if call == "evaluate_many" and value == 10**400:
+            # no integer or float dtype holds it, so the array rule rejects
+            # the list: "crisp inputs must be real numbers, got dtype object"
+            error, field = ValidationError, "crisp inputs"
+        with pytest.raises(error, match=f"^{re.escape(field)} "):
+            run(value)
 
     @pytest.mark.parametrize("call, message", [
         (lambda: LinguisticTerm("x", Universe(0, 1, 2)),
