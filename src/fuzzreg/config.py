@@ -306,7 +306,7 @@ def load_config(path) -> Regulator:
 
 def _term_doc(term: LinguisticTerm) -> dict:
     cls = type(term.mf)
-    if MF_TYPES.get(cls.__name__.lower()) is not cls:
+    if cls not in _SHAPE_CLASSES:
         raise ValidationError(f"term {term.name!r}: {cls.__name__} has no document type")
     return {"name": term.name, "type": cls.__name__.lower(), "params": mf_parameters(term.mf)}
 

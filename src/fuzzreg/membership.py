@@ -12,6 +12,7 @@ import math
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -221,6 +222,15 @@ def _bell(xs, center, sigma) -> np.ndarray:
         return np.exp(-0.5 * z * z)
 
 
+def _checked(mf, x) -> float:
+    """``mf(x)`` as a float, which must be a number (``_real``) in ``[0, 1]``:
+    how the library takes each grade of a shape that is not a built-in one."""
+    grade = mf(x)
+    if isinstance(grade, numbers.Real) and not 0.0 <= grade <= 1.0:  # NaN too
+        raise ValidationError(f"{type(mf).__name__} grades must lie in [0, 1], got {grade!r}")
+    return _real(grade, f"{type(mf).__name__} grade")
+
+
 def _sampled(grade, xs, *params) -> np.ndarray:
     """``grade(points, *params)`` at a caller's ``xs``, which must be
     numbers (``_number_array``), graded as one vector and returned in the
@@ -234,14 +244,12 @@ class MembershipFunction:
     total over the reals: any ``x`` maps to a grade in ``[0, 1]``.
 
     ``mf(x)`` grades one point and ``mf.sample(xs)`` a whole array of
-    points; the two agree bit for bit at every point. A subclass defines
-    ``__call__`` and ``support`` (the four linear shapes share one set,
-    and one parameter rule, in ``_Linear``); an override of ``sample``
-    with array arithmetic must keep that agreement and stay inside
-    ``[0, 1]``, since its grades are used unchecked. A variable grades
-    its terms in blocks of points, so an overriding ``sample`` may be
-    called once per block of a vector of points. A subclass need not be a
-    dataclass, and copies of it follow Python's defaults.
+    points. A subclass defines ``__call__`` and ``support`` (the four
+    linear shapes share one set, and one parameter rule, in ``_Linear``).
+    The library grades a shape whose class is not one of the five
+    built-in ones through its ``__call__`` alone, each grade a number in
+    ``[0, 1]``, never through an override of ``sample``. A subclass need
+    not be a dataclass, and copies of it follow Python's defaults.
     """
 
     def __call__(self, x: float) -> float:
@@ -251,12 +259,9 @@ class MembershipFunction:
         """Grades at every point of ``xs``, as a new float array of its
         shape; ``xs`` must be numbers, not strings, bools or ``None``.
 
-        This default calls ``mf(x)`` once per point and rejects any grade
-        outside ``[0, 1]``."""
-        grades = _sampled(lambda pts: np.array([self(x) for x in pts.tolist()], dtype=float), xs)
-        if not np.all((grades >= 0.0) & (grades <= 1.0)):
-            raise ValidationError(f"{type(self).__name__} grades must lie in [0, 1]")
-        return grades
+        This default grades each point by ``mf(x)``, which must be a
+        number in ``[0, 1]``."""
+        return _sampled(lambda pts: np.array([_checked(self, x) for x in pts.tolist()]), xs)
 
     def support(self) -> tuple[float, float]:
         """An interval outside which every grade is 0; infinite ends where
@@ -399,25 +404,25 @@ class SShoulder(_Linear):
     _CORNERS = ("a", "b", None, None)
 
 
-# the five built-in shapes, whose grades lie in [0, 1] by construction
+# the five built-in shapes, whose grades lie in [0, 1] by construction: an
+# object of exactly one of these classes is graded by the kernels above
 _SHAPE_CLASSES = (Triangular, Trapezoidal, Gaussian, ZShoulder, SShoulder)
 
 
 def _families(mfs) -> tuple:
     """``(rows, sample, params)`` triples: ``sample(xs, *params)`` grades
-    ``xs`` under the shapes at ``rows`` of ``mfs``, equal bit for bit to
-    their own ``sample(xs)``. Shapes whose class keeps ``_Linear.sample``
-    share one ``_ramps`` call and those that keep ``Gaussian.sample`` one
-    ``_bell`` call (the class is tested, since a subclass may override
-    ``sample``); any other shape keeps its own ``sample``."""
+    ``xs`` under the shapes at ``rows`` of ``mfs``. The built-in linear
+    shapes share one ``_ramps`` call and the gaussians one ``_bell`` call;
+    any other shape, a subclass of a built-in one included, is graded by
+    the default ``MembershipFunction.sample``, through its ``__call__``."""
     linear, bells, families = [], [], []
     for i, mf in enumerate(mfs):
-        if type(mf).sample is _Linear.sample:
-            linear.append(i)
-        elif type(mf).sample is Gaussian.sample:
+        if type(mf) is Gaussian:
             bells.append(i)
+        elif type(mf) in _SHAPE_CLASSES:
+            linear.append(i)
         else:
-            families.append((i, mf.sample, ()))
+            families.append((i, partial(MembershipFunction.sample, mf), ()))
     if linear:
         corners = np.array([mfs[i]._corners for i in linear]).T[:, :, None]
         families.append((np.array(linear), _ramps, tuple(corners)))
@@ -487,12 +492,10 @@ class LinguisticVariable(_Rebuilt):
                     f"[{u.min}, {u.max}]"
                 )
         mfs = tuple(term.mf for term in terms)
-        object.__setattr__(self, "_mfs", mfs)
+        # each term's scalar grader: a built-in shape, or _checked on any other
+        graders = tuple(mf if type(mf) in _SHAPE_CLASSES else partial(_checked, mf) for mf in mfs)
+        object.__setattr__(self, "_graders", graders)
         object.__setattr__(self, "_families", _families(mfs))
-        # only a user-defined shape's grades need the scalar [0, 1] check; a
-        # subclass of a built-in one may override __call__, so test the class
-        built_in = all(type(mf) in _SHAPE_CLASSES for mf in mfs)
-        object.__setattr__(self, "_check_grades", not built_in)
 
     @property
     def term_names(self) -> tuple[str, ...]:
@@ -506,20 +509,15 @@ class LinguisticVariable(_Rebuilt):
 
     def _fuzzify(self, x0) -> tuple[float, float, list[float]]:
         """``x0`` as a finite float, that value clamped to the universe, and
-        its grade under each term, checked to lie in ``[0, 1]`` unless every
-        shape is a built-in one (a user-defined shape's ``mf(x)`` is checked
-        nowhere else)."""
+        its grade under each term."""
         x = _real(x0, "crisp input", NonFiniteInput)
         clamped = self.universe.clamp(x)
         # the scalar shape forms equal the array forms _grade uses
-        grades = [mf(clamped) for mf in self._mfs]
-        if self._check_grades and not all(0.0 <= g <= 1.0 for g in grades):
-            raise ValidationError(f"grades must lie in [0, 1], got {grades}")
-        return x, clamped, grades
+        return x, clamped, [grade(clamped) for grade in self._graders]
 
     def _grade(self, xs: np.ndarray) -> np.ndarray:
         """Grade of every point of the float vector ``xs`` under every term,
-        terms x points, equal bit for bit to each term's ``sample``: one
+        terms x points, equal bit for bit to each term's scalar grades: one
         call per shape family per block of at most :data:`CHUNK_ELEMENTS`
         cells, so that scratch space does not grow with the points."""
         grades = np.empty((len(self.terms), xs.shape[0]))
@@ -573,7 +571,9 @@ def discretize(mf: MembershipFunction, universe: Universe) -> FuzzySet:
     """Sample a membership function over a universe's points."""
     _instance(mf, MembershipFunction, "discretize shape")
     _instance(universe, Universe, "discretize universe")
-    return FuzzySet._trusted(universe, mf.sample(universe.points))
+    # the dispatch a variable grades its terms by, so the two agree
+    [(_, sample, params)] = _families((mf,))
+    return FuzzySet(universe, sample(universe.points, *params).reshape(-1))
 
 
 def singleton_fuzzify(x0: float, var: LinguisticVariable) -> np.ndarray:

@@ -44,7 +44,7 @@ from fuzzreg import (
     singleton_fuzzify,
 )
 from fuzzreg import membership as membership_module
-from fuzzreg.membership import MAX_SAMPLES
+from fuzzreg.membership import _SHAPE_CLASSES, MAX_SAMPLES
 from fuzzreg.plotdata import _csv
 from test_robustness import TestUserDefinedShapes as UserDefinedShapes
 
@@ -318,8 +318,8 @@ def chunk_budget(budget):
 
 
 class Squared(Triangular):
-    """A triangle with squared grades: its class overrides ``sample``, so
-    the stacked input path must call that, not ``_Linear.sample``."""
+    """A triangle with squared grades whose class overrides ``sample`` too:
+    the library grades it through ``__call__`` alone, never that override."""
 
     def __call__(self, x):
         g = super().__call__(x)
@@ -330,18 +330,34 @@ class Squared(Triangular):
         return g * g
 
 
+class Halved(Triangular):
+    """A triangle at half height that overrides only ``__call__``: the
+    array paths must grade it by that, not by its corners."""
+
+    def __call__(self, x):
+        return 0.5 * super().__call__(x)
+
+
 class Plain(Triangular):
-    """A subclass that keeps ``_Linear.sample``: it joins the stack."""
+    """A subclass that overrides nothing: graded through ``__call__`` too."""
+
+
+def graded(mf, xs):
+    """``mf``'s grades at ``xs`` as the library takes them: a built-in
+    shape's ``sample``, any other shape's ``__call__`` per point."""
+    if type(mf) in _SHAPE_CLASSES:
+        return mf.sample(xs)
+    return np.array([mf(x) for x in xs.tolist()])
 
 
 @st.composite
 def input_shapes(draw):
-    """Every family and both kinds of subclass, on [0, 10]: vertical edges,
+    """Every family and three kinds of subclass, on [0, 10]: vertical edges,
     shoulders with their infinite corners, gaussians with tiny and large
-    sigma, ``Squared``, ``Plain`` and the user-defined ``Step``."""
+    sigma, ``Squared``, ``Halved``, ``Plain`` and the user-defined ``Step``."""
     values = st.one_of(st.floats(-5, 15, allow_nan=False), st.sampled_from([0.0, 5.0, 10.0]))
     kind = draw(st.sampled_from(["tri", "tri_left", "tri_right", "trap", "trap_edges", "z", "s",
-                                 "gauss", "squared", "plain", "step"]))
+                                 "gauss", "squared", "halved", "plain", "step"]))
     if kind == "gauss":
         sigma = draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([5e-324, 1e-300, 1e300])))
         return Gaussian(draw(st.floats(-5, 15)), sigma)
@@ -360,7 +376,7 @@ def input_shapes(draw):
     a, b, c = sorted(draw(st.tuples(values, values, values)))
     b = {"tri_left": a, "tri_right": c}.get(kind, b)
     assume(a < c)
-    return {"squared": Squared, "plain": Plain}.get(kind, Triangular)(a, b, c)
+    return {"squared": Squared, "halved": Halved, "plain": Plain}.get(kind, Triangular)(a, b, c)
 
 
 def mixed_input_regulator(mfs):
@@ -377,7 +393,7 @@ def mixed_input_regulator(mfs):
 
 class TestStackedInputs:
     """``evaluate_many`` grades its inputs with one call per shape family;
-    the block must equal each term's own ``sample`` row for row."""
+    the block must equal each term's grades (``graded``) row for row."""
 
     @given(mfs=st.lists(input_shapes(), min_size=1, max_size=12), data=st.data(),
            budget=st.integers(1, 64))
@@ -391,7 +407,7 @@ class TestStackedInputs:
         near = [math.nextafter(p, s) for p in corners for s in (-math.inf, math.inf)]
         drawn = data.draw(st.lists(st.floats(-20, 30), max_size=30))
         xs = np.array(corners + near + drawn)
-        want = np.array([mf.sample(xs) for mf in mfs])
+        want = np.array([graded(mf, xs) for mf in mfs])
         assert np.array_equal(reg.input_var._grade(xs), want)
         with chunk_budget(budget):  # blocks of a few points
             assert np.array_equal(reg.input_var._grade(xs), want)
@@ -407,11 +423,11 @@ class TestStackedInputs:
         var = mixed_input_regulator(mfs).input_var
         xs = np.linspace(0, 10, samples)
         want = _csv(["x"] + list(var.term_names),
-                    [np.column_stack([xs] + [mf.sample(xs) for mf in mfs]).tolist()])
+                    [np.column_stack([xs] + [graded(mf, xs) for mf in mfs]).tolist()])
         with chunk_budget(budget):
             assert emit_mf_plot_data(var, samples) == want
 
-    def test_an_overriding_subclass_is_sampled_by_its_own_method(self):
+    def test_no_library_path_calls_a_user_defined_sample(self):
         calls = []
 
         class Recorded(Triangular):
@@ -419,10 +435,17 @@ class TestStackedInputs:
                 calls.append(len(xs))
                 return super().sample(xs)
 
-        reg = mixed_input_regulator([Triangular(0, 2, 5), Recorded(3, 6, 10), Gaussian(5, 1)])
+        recorded = Recorded(3, 6, 10)
+        reg = mixed_input_regulator([Triangular(0, 2, 5), recorded, Gaussian(5, 1)])
         xs = np.linspace(0, 10, 7)
-        assert reg.input_var._grade(xs)[1].tolist() == Triangular(3, 6, 10).sample(xs).tolist()
-        assert calls == [7]
+        assert reg.input_var._grade(xs)[1].tolist() == [recorded(x) for x in xs.tolist()]
+        reg.evaluate(5.0)
+        reg.evaluate_many(xs)
+        emit_mf_plot_data(reg.input_var, 7)
+        vout = LinguisticVariable("out", Universe(0, 10, 11), (LinguisticTerm("r", recorded),))
+        Regulator(RuleBase(reg.input_var, vout, (Rule(1, 0),)))
+        discretize(recorded, Universe(0, 10, 11))
+        assert calls == []
         squared = mixed_input_regulator([Squared(0, 5, 10)])
         assert squared.input_var._grade(np.linspace(0, 10, 5)).tolist() == [[0, 0.25, 1, 0.25, 0]]
 

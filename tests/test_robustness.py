@@ -267,30 +267,44 @@ class TestUserDefinedShapes:
         assert reg.evaluate_many([0.0, 50.0]).tolist() == [
             reg.evaluate(0.0).output, reg.evaluate(50.0).output]
 
-    @pytest.mark.parametrize("high", [1.5, -0.5, math.nan])
-    def test_grades_outside_the_unit_interval_are_rejected(self, high):
-        with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
-            discretize(self.Step(0.5, high), Universe(0, 1, 5))
+    class Stamped(Step):
+        """A step whose own ``sample`` grades every point ``high``."""
+
+        def sample(self, xs):
+            return np.full(np.shape(xs), self.high)
+
+    # shapes whose grade from 0.5 up is not a number in [0, 1], and the
+    # error each must raise in every path: the library grades a shape that
+    # is not a built-in one through its __call__, never its own sample
+    OUT_OF_RANGE, NOT_A_NUMBER = r"grades must lie in \[0, 1\]", "grade must be a number"
+    bad_grades = pytest.mark.parametrize("cls, high, error", [
+        (Step, 1.5, OUT_OF_RANGE), (Step, -0.5, OUT_OF_RANGE), (Step, math.nan, OUT_OF_RANGE),
+        (Stamped, 1.5, OUT_OF_RANGE), (Step, "0.5", NOT_A_NUMBER), (Step, True, NOT_A_NUMBER),
+        (Step, None, NOT_A_NUMBER), (Step, 1j, NOT_A_NUMBER),
+    ], ids=["1.5", "-0.5", "nan", "own_sample_1.5", "str", "bool", "none", "complex"])
+
+    @bad_grades
+    def test_grades_outside_the_unit_interval_are_rejected(self, cls, high, error):
+        with pytest.raises(ValidationError, match=error):
+            discretize(cls(0.5, high), Universe(0, 1, 5))
         ref = reference_regulator()
         out = ref.output_var
         vout = LinguisticVariable(out.name, out.universe,
-                                  (LinguisticTerm("BAD", self.Step(0.5, high)),) + out.terms[1:])
-        with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
+                                  (LinguisticTerm("BAD", cls(0.5, high)),) + out.terms[1:])
+        with pytest.raises(ValidationError, match=error):
             Regulator(RuleBase(ref.input_var, vout, ref.rulebase.rules))
 
-    @pytest.mark.parametrize("high", [1.5, math.nan])
-    def test_input_grades_outside_the_unit_interval_are_rejected(self, high):
+    @bad_grades
+    def test_input_grades_outside_the_unit_interval_are_rejected(self, cls, high, error):
         ref = reference_regulator()
         vin = ref.input_var
         vin = LinguisticVariable(vin.name, vin.universe,
-                                 (LinguisticTerm("BAD", self.Step(0.0, high)),) + vin.terms[1:])
+                                 (LinguisticTerm("BAD", cls(0.0, high)),) + vin.terms[1:])
         reg = Regulator(RuleBase(vin, ref.output_var, ref.rulebase.rules))
-        with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
-            singleton_fuzzify(50.0, vin)
-        with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
-            reg.evaluate(50.0)
-        with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
-            reg.evaluate_many([50.0])
+        for call in (lambda: singleton_fuzzify(50.0, vin), lambda: reg.evaluate(50.0),
+                     lambda: reg.evaluate_many([50.0]), lambda: emit_mf_plot_data(vin, 5)):
+            with pytest.raises(ValidationError, match=error):
+                call()
 
     @pytest.mark.parametrize("x0, high", [
         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), ("x", 1.0), (True, 1.0),
@@ -318,7 +332,7 @@ class TestUserDefinedShapes:
         assert not twin._matrix.flags.writeable
 
     def test_a_subclass_of_a_built_in_shape_is_checked_too(self):
-        # it may override __call__, so evaluate keeps its [0, 1] check
+        # it may override __call__, so every path grades it through that
         class Overshoot(Triangular):
             def __call__(self, x):
                 return 1.5
@@ -330,6 +344,8 @@ class TestUserDefinedShapes:
         reg = Regulator(RuleBase(vin, ref.output_var, ref.rulebase.rules))
         with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
             reg.evaluate(50.0)
+        with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
+            reg.evaluate_many([50.0])
 
     def test_parameters_of_a_shape_that_is_not_a_dataclass_are_unknown(self):
         with pytest.raises(ValidationError, match="^Step is not a dataclass"):
