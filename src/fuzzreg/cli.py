@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +60,10 @@ def _write(text: str, out: str | None) -> None:
 def _load_csv(path: str, what: str) -> np.ndarray:
     """A headerless numeric CSV file as a 2-D array, or a ``what`` error."""
     try:
-        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt's warning of no data
+            return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except (ValueError, UserWarning) as exc:
         raise ParseError(f"{path}: not a numeric CSV {what} ({exc})") from None
 
 

@@ -19,17 +19,21 @@ import numpy as np
 from .errors import FuzzyError, InvalidUniverse, NonFiniteInput, ValidationError
 
 
-def _number_array(values, rule: str) -> np.ndarray:
-    """A caller's ``values``, which must be of an integer or float dtype (not
-    strings, not bools), as a float array. Anything else, ragged nesting
-    included, raises ``ValidationError`` with the message ``rule``."""
+def _number_array(values, what: str, error: type[FuzzyError] = ValidationError) -> np.ndarray:
+    """``values`` as a float array whose every element passes ``_real(v,
+    what, error)``: as a whole for an ndarray of integers or of floats no
+    wider than a double, else one by one, so ragged nesting is not a number."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" and np.can_cast(values, float):
+        arr = values.astype(float, copy=False)
+        finite = np.isfinite(arr)
+        if not finite.all():  # the first non-finite element fails the rule
+            _real(arr.flat[int(np.argmin(finite))], what, error)
+        return arr
     try:
-        arr = np.asarray(values)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{rule} ({exc})") from None
-    if arr.dtype.kind not in "iuf":
-        raise ValidationError(f"{rule}, got dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
+        objs = np.asarray(values, dtype=object)
+    except ValueError as exc:  # arrays of unequal shapes in one list
+        raise ValidationError(f"{what} must be a number, got a ragged array ({exc})") from None
+    return np.array([_real(v, what, error) for v in objs.flat], dtype=float).reshape(objs.shape)
 
 
 def _instance(value, cls, what: str):
@@ -44,10 +48,9 @@ def _instance(value, cls, what: str):
 
 def _grade_array(values, what: str) -> np.ndarray:
     """A read-only float copy of a caller's ``values``, every one of which
-    must be a number in ``[0, 1]``, else ``ValidationError``; the copy
-    leaves the caller's array writable."""
-    arr = _number_array(values, f"{what} must be numbers in [0, 1]")
-    arr = np.array(arr, order="C")
+    must be a number (``_number_array``) in ``[0, 1]``, else
+    ``ValidationError``; the copy leaves the caller's array writable."""
+    arr = np.array(_number_array(values, what), order="C")
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValidationError(f"{what} must lie in [0, 1]")
     arr.setflags(write=False)
@@ -231,37 +234,34 @@ def _checked(mf, x) -> float:
     return _real(grade, f"{type(mf).__name__} grade")
 
 
-def _sampled(grade, xs, *params) -> np.ndarray:
-    """``grade(points, *params)`` at a caller's ``xs``, which must be
-    numbers (``_number_array``), graded as one vector and returned in the
-    shape of ``xs``: a 0-d ``xs`` gives a 0-d array under every shape."""
-    xs = _number_array(xs, "sample points must be real numbers")
-    return grade(xs.reshape(-1), *params).reshape(xs.shape)
+def _pointwise(mf, xs: np.ndarray) -> np.ndarray:
+    """``_checked`` grades of ``mf`` at every point of the float vector ``xs``."""
+    return np.array([_checked(mf, x) for x in xs.tolist()])
 
 
 class MembershipFunction:
     """Base class of the five shape families. Instances are callable and
     total over the reals: any ``x`` maps to a grade in ``[0, 1]``.
 
-    ``mf(x)`` grades one point and ``mf.sample(xs)`` a whole array of
-    points. A subclass defines ``__call__`` and ``support`` (the four
-    linear shapes share one set, and one parameter rule, in ``_Linear``).
-    The library grades a shape whose class is not one of the five
-    built-in ones through its ``__call__`` alone, each grade a number in
-    ``[0, 1]``, never through an override of ``sample``. A subclass need
-    not be a dataclass, and copies of it follow Python's defaults.
+    ``mf(x)`` grades one point, and ``mf.sample(xs)`` grades each point of
+    an array alike unless overridden. A subclass defines ``__call__`` and
+    ``support``: two numbers, low <= high, either end maybe infinite (the
+    linear shapes share one set in ``_Linear``). The library grades a shape
+    whose class is not one of the five built-in ones through ``__call__``
+    alone, each grade a number in ``[0, 1]``, never through its ``sample``.
+    A subclass need not be a dataclass; its copies follow Python's defaults.
     """
 
     def __call__(self, x: float) -> float:
         raise NotImplementedError
 
     def sample(self, xs) -> np.ndarray:
-        """Grades at every point of ``xs``, as a new float array of its
-        shape; ``xs`` must be numbers, not strings, bools or ``None``.
-
-        This default grades each point by ``mf(x)``, which must be a
-        number in ``[0, 1]``."""
-        return _sampled(lambda pts: np.array([_checked(self, x) for x in pts.tolist()]), xs)
+        """Grades at every point of ``xs``, each point a finite number
+        (``_real``), as a new float array of its shape: graded by
+        ``_families``, as every library path grades, so each equals ``mf(x)``."""
+        xs = _number_array(xs, "sample point")
+        [(_, grade, params)] = _families((self,))
+        return grade(xs.reshape(-1), *params).reshape(xs.shape)
 
     def support(self) -> tuple[float, float]:
         """An interval outside which every grade is 0; infinite ends where
@@ -319,9 +319,6 @@ class _Linear(_Rebuilt, MembershipFunction):
             return 0.0
         return (d - x) / (d - c)
 
-    def sample(self, xs) -> np.ndarray:
-        return _sampled(_ramps, xs, *self._corners)
-
     def support(self) -> tuple[float, float]:
         return (self._corners[0], self._corners[3])
 
@@ -376,9 +373,6 @@ class Gaussian(MembershipFunction):
         z = (x - self.center) / self.sigma
         return float(np.exp(-0.5 * z * z))
 
-    def sample(self, xs) -> np.ndarray:
-        return _sampled(_bell, xs, self.center, self.sigma)
-
     def support(self) -> tuple[float, float]:
         reach = GAUSSIAN_REACH * self.sigma
         return (self.center - reach, self.center + reach)
@@ -413,8 +407,8 @@ def _families(mfs) -> tuple:
     """``(rows, sample, params)`` triples: ``sample(xs, *params)`` grades
     ``xs`` under the shapes at ``rows`` of ``mfs``. The built-in linear
     shapes share one ``_ramps`` call and the gaussians one ``_bell`` call;
-    any other shape, a subclass of a built-in one included, is graded by
-    the default ``MembershipFunction.sample``, through its ``__call__``."""
+    any other shape, a subclass of a built-in one included, is graded
+    point by point through its ``__call__`` (``_pointwise``)."""
     linear, bells, families = [], [], []
     for i, mf in enumerate(mfs):
         if type(mf) is Gaussian:
@@ -422,7 +416,7 @@ def _families(mfs) -> tuple:
         elif type(mf) in _SHAPE_CLASSES:
             linear.append(i)
         else:
-            families.append((i, partial(MembershipFunction.sample, mf), ()))
+            families.append((i, partial(_pointwise, mf), ()))
     if linear:
         corners = np.array([mfs[i]._corners for i in linear]).T[:, :, None]
         families.append((np.array(linear), _ramps, tuple(corners)))
@@ -485,7 +479,14 @@ class LinguisticVariable(_Rebuilt):
             if term.name in seen:
                 raise ValidationError(f"{what} has duplicate term {term.name!r}")
             seen.add(term.name)
-            lo, hi = term.mf.support()
+            ends = term.mf.support()
+            if type(term.mf) not in _SHAPE_CLASSES and not (  # two numbers, low <= high (no NaN)
+                    isinstance(ends, tuple) and len(ends) == 2 and all(
+                        isinstance(e, numbers.Real) and not isinstance(e, bool) for e in ends)
+                    and ends[0] <= ends[1]):
+                raise ValidationError(f"term {term.name!r} support must be two numbers, "
+                                      f"low <= high, got {ends!r}")
+            lo, hi = ends
             if hi < u.min or lo > u.max:
                 raise ValidationError(
                     f"term {term.name!r} lies entirely outside the universe "
@@ -571,9 +572,8 @@ def discretize(mf: MembershipFunction, universe: Universe) -> FuzzySet:
     """Sample a membership function over a universe's points."""
     _instance(mf, MembershipFunction, "discretize shape")
     _instance(universe, Universe, "discretize universe")
-    # the dispatch a variable grades its terms by, so the two agree
-    [(_, sample, params)] = _families((mf,))
-    return FuzzySet(universe, sample(universe.points, *params).reshape(-1))
+    # the base method, since the library never calls a shape's own sample
+    return FuzzySet(universe, MembershipFunction.sample(mf, universe.points))
 
 
 def singleton_fuzzify(x0: float, var: LinguisticVariable) -> np.ndarray:

@@ -222,19 +222,16 @@ class Regulator(_Rebuilt):
         """Crisp outputs for a vector of inputs, equal bit for bit to
         ``evaluate(x).output`` for each ``x``.
 
-        Inputs are clamped to the input universe and must be finite; where
-        the aggregate is all zero, the zero-mass policy applies, and the
-        error names that input. Work runs in chunks of inputs, with scratch
-        buffers of about ``membership.CHUNK_ELEMENTS`` doubles each,
-        allocated once per call: memory stays bounded however many inputs
-        there are.
+        Each input follows ``evaluate``'s number rule and is clamped to the
+        input universe; where the aggregate is all zero, the zero-mass
+        policy applies, and the error names that input. Work runs
+        in chunks of inputs, with scratch buffers of about
+        ``membership.CHUNK_ELEMENTS`` doubles each, allocated once per call:
+        memory stays bounded however many inputs there are.
         """
-        xs = _number_array(xs, "crisp inputs must be real numbers")
+        xs = _number_array(xs, "crisp input", NonFiniteInput)
         if xs.ndim != 1:
             raise DimensionMismatch(f"expected a vector of inputs, got shape {xs.shape}")
-        finite = np.isfinite(xs)
-        if not finite.all():  # the first non-finite input fails the number rule
-            _real(xs[int(np.argmin(finite))], "crisp input", NonFiniteInput)
         universe, in_var = self.output_universe, self.rulebase.input_var
         clamped = np.clip(xs, in_var.universe.min, in_var.universe.max)
         outputs = np.empty(xs.shape[0])

@@ -214,6 +214,16 @@ class TestInfer:
         assert cli_main(["infer", "--relation", rel, "--ap", str(hot)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--relation", "--ap"])
+    @pytest.mark.filterwarnings("error")
+    def test_empty_csv_exits_1_naming_the_file(self, tmp_path, worked_files, capsys, flag):
+        files = dict(zip(["--relation", "--ap"], worked_files))
+        files[flag] = str(tmp_path / "empty.csv")
+        (tmp_path / "empty.csv").write_text("")
+        assert cli_main(["infer", *(arg for pair in files.items() for arg in pair)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"fuzzreg: error: {files[flag]}: ") and err.count("\n") == 1
+
 
 class TestCheck:
     def test_reference_config_is_valid(self, capsys):

@@ -167,7 +167,10 @@ class TestEvaluate:
     @pytest.mark.parametrize("activations", [[0.5, 7.0], [-0.1, 0.5], [math.nan, 0.5]])
     def test_public_trace_rejects_activations_outside_unit_interval(self, activations):
         aggregated = FuzzySet(Universe(0, 1, 2), [0.0, 1.0])
-        with pytest.raises(ValidationError, match="activations must lie in"):
+        # NaN fails the number rule before the range is checked
+        message = "^activations must be finite, got nan" if math.isnan(activations[0]) else (
+            "activations must lie in")
+        with pytest.raises(ValidationError, match=message):
             EvalTrace(1.0, 1.0, np.array(activations), aggregated, 1.0)
 
     def test_out_of_range_input_clamps(self, ref):

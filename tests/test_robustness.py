@@ -8,6 +8,7 @@ import math
 import re
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -347,6 +348,17 @@ class TestUserDefinedShapes:
         with pytest.raises(ValidationError, match=r"grades must lie in \[0, 1\]"):
             reg.evaluate_many([50.0])
 
+    @pytest.mark.parametrize("ends", [("a", "b"), None, (5.0,), (math.nan, math.nan)],
+                             ids=["strings", "none", "one_end", "nan"])
+    def test_support_must_be_two_ordered_numbers(self, ends):
+        class Odd(self.Step):
+            def support(self):
+                return ends
+
+        universe = Universe(0, 1, 5)
+        with pytest.raises(ValidationError, match="^term 'ODD' support must be two numbers"):
+            LinguisticVariable("x", universe, (LinguisticTerm("ODD", Odd(0.5)),))
+
     def test_parameters_of_a_shape_that_is_not_a_dataclass_are_unknown(self):
         with pytest.raises(ValidationError, match="^Step is not a dataclass"):
             mf_parameters(self.Step(0.5))
@@ -358,8 +370,8 @@ class TestUserDefinedShapes:
 
 class TestNumericInputs:
     """One rule for numbers from outside: a real number that is not a bool,
-    numpy's integer and floating scalars included; an array of inputs must
-    have an integer or float dtype."""
+    numpy's integer and floating scalars included; each element of an
+    array of inputs follows the same rule."""
 
     NOT_NUMBERS = ["5", True, np.True_, None, b"5", 1 + 2j, [5.0]]
 
@@ -375,9 +387,10 @@ class TestNumericInputs:
 
     @pytest.mark.parametrize("xs", [["5"], [True, False], np.array([1 + 2j]),
                                     [None], [1.0, "2"], [1, [], 2], [[1.0], [2.0, 3.0]],
-                                    [[[1.0]], 2.0]])
+                                    [[[1.0]], 2.0], [True, 0.5], [0.5, np.True_],
+                                    [np.zeros((2, 2)), np.zeros((2, 3))]])
     def test_evaluate_many_rejects_non_numeric_arrays(self, xs):
-        with pytest.raises(ValidationError, match="crisp inputs must be real numbers"):
+        with pytest.raises(ValidationError, match="^crisp input must be a number, got "):
             reference_regulator().evaluate_many(xs)
 
     @pytest.mark.parametrize("x", [37, np.int64(37), np.int8(37), np.uint16(37),
@@ -390,10 +403,24 @@ class TestNumericInputs:
 
     @pytest.mark.parametrize("xs", [[37, 80], np.array([37, 80], dtype=np.int32),
                                     np.array([37, 80], dtype=np.uint8),
-                                    np.array([37, 80], dtype=np.float32)])
+                                    np.array([37, 80], dtype=np.float32), [Fraction(37), 80]])
     def test_evaluate_many_accepts_integer_and_float_arrays(self, xs):
         ref = reference_regulator()
         assert ref.evaluate_many(xs).tolist() == ref.evaluate_many([37.0, 80.0]).tolist()
+
+    @pytest.mark.parametrize("x", NOT_NUMBERS + [math.nan, math.inf,
+                                                 pytest.param(10**400, id="huge_int"),
+                                                 Fraction(1, 2)])
+    def test_evaluate_many_takes_each_input_as_evaluate_does(self, x):
+        # an element of an array follows the rule of a single input exactly
+        ref = reference_regulator()
+        outcomes = []
+        for call in (lambda: ref.evaluate(x).output, lambda: ref.evaluate_many([0.5, x])[1]):
+            try:
+                outcomes.append(call())
+            except FuzzyError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     def test_integers_too_large_for_a_double_are_not_finite(self):
         with pytest.raises(NonFiniteInput):
@@ -592,10 +619,6 @@ class TestGradeRule:
     @pytest.mark.parametrize("call", sorted(NUMBER_CALLS))
     def test_non_finite_number_names_its_field(self, call, value):
         run, error, field = self.NUMBER_CALLS[call]
-        if call == "evaluate_many" and value == 10**400:
-            # no integer or float dtype holds it, so the array rule rejects
-            # the list: "crisp inputs must be real numbers, got dtype object"
-            error, field = ValidationError, "crisp inputs"
         with pytest.raises(error, match=f"^{re.escape(field)} "):
             run(value)
 
