@@ -11,7 +11,7 @@ _TINY = 5e-324
 
 
 def cog_rows(
-    universe: Universe, grades: np.ndarray, scratch: np.ndarray
+    universe: Universe, grades: np.ndarray, products: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Center of gravity of every row of an ``(n, universe.n)`` grade matrix.
 
@@ -19,13 +19,13 @@ def cog_rows(
     ``min + span * sum(t[i] * mu[i]) / sum(mu[i])``, where ``t`` are the
     universe's sample offsets in ``[0, 1]``: both sums stay within the
     grade range, so no magnitude of the universe overflows them. ``y`` is
-    ``min`` where the mass is zero. ``scratch``, C-contiguous and of the
-    grades' shape, receives the products. Each row is summed on its own
-    (numpy's pairwise sum of a contiguous row), so a row's result does not
-    depend on the other rows.
+    ``min`` where the mass is zero. ``products``, C-contiguous, is
+    ``grades * universe.offsets``, which the caller computes. Each row is
+    summed on its own (numpy's pairwise sum of a contiguous row), so a
+    row's result does not depend on the other rows.
     """
     mass = grades.sum(axis=1)
-    moment = np.multiply(grades, universe.offsets, out=scratch).sum(axis=1)
+    moment = products.sum(axis=1)
     # grades are >= 0, so a zero mass has a zero moment; the smallest
     # double is below every positive mass, so only those rows change
     y = np.divide(moment, np.maximum(mass, _TINY), out=moment)

@@ -19,11 +19,17 @@ import numpy as np
 from .errors import FuzzyError, InvalidUniverse, NonFiniteInput, ValidationError
 
 
+def _is_real_array(values) -> bool:
+    """Whether ``values`` is an ndarray of integers or of floats no wider
+    than a double: an array the number rule checks as a whole."""
+    return isinstance(values, np.ndarray) and values.dtype.kind in "iuf" and np.can_cast(values, float)
+
+
 def _number_array(values, what: str, error: type[FuzzyError] = ValidationError) -> np.ndarray:
     """``values`` as a float array whose every element passes ``_real(v,
     what, error)``: as a whole for an ndarray of integers or of floats no
     wider than a double, else one by one, so ragged nesting is not a number."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" and np.can_cast(values, float):
+    if _is_real_array(values):
         arr = values.astype(float, copy=False)
         finite = np.isfinite(arr)
         if not finite.all():  # the first non-finite element fails the rule
@@ -49,9 +55,17 @@ def _instance(value, cls, what: str):
 def _grade_array(values, what: str) -> np.ndarray:
     """A read-only float copy of a caller's ``values``, every one of which
     must be a number (``_number_array``) in ``[0, 1]``, else
-    ``ValidationError``; the copy leaves the caller's array writable."""
-    arr = np.array(_number_array(values, what), order="C")
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+    ``ValidationError``; the copy leaves the caller's array writable. A
+    ``FuzzySet`` is taken as its ``grades``, which passed this rule when it
+    was built."""
+    if isinstance(values, FuzzySet):
+        values = values.grades
+    # an array of reals is copied as it is: the range check below fails NaN
+    # and the infinities too, so the number rule runs only to name a failure
+    arr = np.array(values if _is_real_array(values) else _number_array(values, what),
+                   dtype=float, order="C")
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
+        _number_array(arr, what)
         raise ValidationError(f"{what} must lie in [0, 1]")
     arr.setflags(write=False)
     return arr

@@ -27,6 +27,13 @@ from .membership import (
 _NO_RULE = "all grades are zero; no rule fired"
 _NO_SAMPLE = "all grades are zero; rules fired only onto terms zero at every output sample"
 
+# numpy's ufunc buffer size, in elements, for evaluate_many's clip, max and
+# COG products: its smallest, so that numpy does not copy a window of short
+# rows through the buffer. Those ops are elementwise and none casts, so
+# none needs the buffer and no bit depends on it. Sums stay outside: before
+# numpy 2.3 a reduction is summed in blocks of the buffer size.
+_SWEEP_BUFSIZE = 16
+
 
 class ZeroMassPolicy(Enum):
     """What to do when the aggregate is all zero: fail loudly, or emit the
@@ -228,6 +235,17 @@ class Regulator(_Rebuilt):
         in chunks of inputs, with scratch buffers of about
         ``membership.CHUNK_ELEMENTS`` doubles each, allocated once per call:
         memory stays bounded however many inputs there are.
+
+        The clip, the max and the center of gravity's products run with
+        numpy's ufunc buffer at its smallest, so that numpy does not copy
+        their windows of short rows through the buffer. They are
+        elementwise and none casts, so no bit changes. ``np.errstate()``
+        scopes the setting: the caller's size comes back on exit, an error
+        included, and other threads and tasks never see it. Everything
+        else runs under the caller's setting: grading the inputs, which may
+        call a user shape's ``__call__``, and the center of gravity's sums.
+        Before numpy 2.3 a sum runs in blocks of the buffer size, so these
+        must run under the size that ``evaluate``'s sums run under.
         """
         xs = _number_array(xs, "crisp input", NonFiniteInput)
         if xs.ndim != 1:
@@ -248,7 +266,10 @@ class Regulator(_Rebuilt):
                 w = strengths[:, r0:r0 + rows]
                 n = w.shape[1]
                 agg[:n] = 0.0
-                self._clip_max(w, agg[:n], tmp[:n])
+                with np.errstate():
+                    np.setbufsize(_SWEEP_BUFSIZE)
+                    self._clip_max(w, agg[:n], tmp[:n])
+                    np.multiply(agg[:n], universe.offsets, out=tmp[:n])
                 mass, y = cog_rows(universe, agg[:n], tmp[:n])
                 empty = mass == 0.0
                 if empty.any():

@@ -125,7 +125,7 @@ class TestOneVectorForm:
         u = Universe(*bounds, data.draw(st.integers(2, 600)))
         grades = data.draw(grade_vectors(u.n))
         rows = grades[None]
-        mass, y = cog_rows(u, rows, np.empty_like(rows))
+        mass, y = cog_rows(u, rows, rows * u.offsets)
         assert bits(*_cog_vector(u, grades)) == bits(mass[0], y[0])
 
     @pytest.mark.parametrize("n", [8193, 65537])
@@ -134,7 +134,7 @@ class TestOneVectorForm:
         u = Universe(*bounds, n)
         rows = np.random.default_rng(n).random((3, n))
         rows[1, : n // 2] = 0.0
-        mass, y = cog_rows(u, rows, np.empty_like(rows))
+        mass, y = cog_rows(u, rows, rows * u.offsets)
         for i, grades in enumerate(rows):
             assert bits(*_cog_vector(u, grades)) == bits(mass[i], y[i])
 

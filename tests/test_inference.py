@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from fuzzreg import (
     DimensionMismatch,
     EmptyRuleBase,
+    FuzzyError,
     FuzzyRelation,
     FuzzySet,
     LinguisticTerm,
@@ -293,3 +294,47 @@ class TestInfer:
         one_hot[i0] = 1.0
         relation_path = cri(build_relation(a, b), one_hot)
         assert clipped.grades.tolist() == pytest.approx(relation_path.tolist(), abs=0)
+
+
+class TestGradeArguments:
+    """The paper's API takes a ``FuzzySet`` wherever it takes a grade
+    vector, as that set's ``grades``, and names a bad grade alike in a
+    list and in an ndarray."""
+
+    @staticmethod
+    def _outcome(call, values):
+        """``call(values)`` as a list, or the class and message it raised."""
+        try:
+            return call(values).tolist()
+        except FuzzyError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("name", ["cri", "union", "union, other side", "build_relation",
+                                      "build_relation, consequent", "infer"])
+    def test_a_fuzzy_set_gives_what_its_grades_give(self, name):
+        rb, cons = TestInfer()._setup()
+        call = {
+            "cri": lambda v: cri(build_relation(AP, B), v),
+            "union": lambda v: union(v, B),
+            "union, other side": lambda v: union(np.array(B), v),
+            "build_relation": lambda v: build_relation(v, B).entries,
+            "build_relation, consequent": lambda v: build_relation(AP, v).entries,
+            "infer": lambda v: infer(rb, v, cons).grades,
+        }[name]
+        # a set of the length the call takes, and one of another length
+        for grades in (AP, [0.25, 1.0], [0.0, 0.5, 1.0]):
+            fset = FuzzySet(Universe(0, 1, len(grades)), grades)
+            assert self._outcome(call, fset) == self._outcome(call, fset.grades)
+
+    @pytest.mark.parametrize("form", [list, np.array])
+    @pytest.mark.parametrize("bad, message", [
+        ([0.5, float("nan")], "must be finite, got nan"),
+        ([1.5, float("nan")], "must be finite, got nan"),
+        ([0.5, 1.5], r"must lie in \[0, 1\]"),
+        ([0.5, -0.5], r"must lie in \[0, 1\]"),
+    ])
+    def test_a_bad_grade_is_named_the_same_in_a_list_and_an_array(self, form, bad, message):
+        with pytest.raises(ValidationError, match=f"^grades {message}$"):
+            union(form(bad), [0.0, 0.0])
+        with pytest.raises(ValidationError, match=f"^relation entries {message}$"):
+            FuzzyRelation(form([bad, [0.0, 0.0]]))

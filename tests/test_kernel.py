@@ -44,6 +44,8 @@ from fuzzreg import (
     singleton_fuzzify,
 )
 from fuzzreg import membership as membership_module
+from fuzzreg import regulator
+from fuzzreg.defuzz import cog_rows
 from fuzzreg.membership import _SHAPE_CLASSES, MAX_SAMPLES
 from fuzzreg.plotdata import _csv
 from test_robustness import TestUserDefinedShapes as UserDefinedShapes
@@ -332,15 +334,15 @@ def chunk_budget(budget):
 
 class Squared(Triangular):
     """A triangle with squared grades whose class overrides ``sample`` too:
-    the library grades it through ``__call__`` alone, never that override."""
+    the library grades it through ``__call__`` alone, never that override,
+    which fails any test that reaches it."""
 
     def __call__(self, x):
         g = super().__call__(x)
         return g * g
 
     def sample(self, xs):
-        g = super().sample(xs)
-        return g * g
+        raise AssertionError("the library grades through __call__ alone")
 
 
 class Plain(Triangular):
@@ -603,6 +605,64 @@ class TestPaperPath:
                 assert got == want
 
 
+class TestUfuncBufferScope:
+    """``evaluate_many`` runs its clip, max and COG products with numpy's
+    ufunc buffer at its smallest, inside ``np.errstate()``: the caller's
+    size comes back on every exit, user code and the COG's sums run under
+    it, and no bit moves."""
+
+    def test_buffer_size_is_restored_on_return_and_on_zero_mass(self):
+        before = np.getbufsize()
+        reference_regulator().evaluate_many(np.linspace(-5, 105, 50))
+        assert np.getbufsize() == before
+        with pytest.raises(ZeroMass):
+            gap_regulator(ZeroMassPolicy.ERROR).evaluate_many([10.0, 30.0])
+        assert np.getbufsize() == before
+
+    def test_user_shape_sees_the_callers_buffer_size(self):
+        seen = []
+
+        class Recording(Triangular):
+            def __call__(self, x):
+                seen.append(np.getbufsize())
+                return super().__call__(x)
+
+        reg = mixed_input_regulator([Recording(0, 5, 10), Triangular(0, 2, 5)])
+        seen.clear()
+        with np.errstate():
+            np.setbufsize(4096)
+            reg.evaluate_many(np.linspace(0, 10, 7))
+            assert np.getbufsize() == 4096
+        assert len(seen) == 7 and set(seen) == {4096}
+
+    def test_cog_sums_run_under_the_callers_buffer_size(self, monkeypatch):
+        # before numpy 2.3 a sum runs in blocks of the buffer size, so
+        # evaluate_many must sum under the size evaluate sums under
+        seen = []
+
+        def recording(*args):
+            seen.append(np.getbufsize())
+            return cog_rows(*args)
+
+        monkeypatch.setattr(regulator, "cog_rows", recording)
+        with np.errstate():
+            np.setbufsize(4096)
+            reference_regulator().evaluate_many(np.linspace(-5, 105, 50))
+        assert seen and set(seen) == {4096}
+
+    @pytest.mark.parametrize("bufsize", [16, 8192, 65536])
+    @pytest.mark.parametrize("resolution", [2, 17, 2001, 8193, 65537])
+    def test_equals_evaluate_bit_for_bit_under_the_callers_buffer_size(self, resolution, bufsize):
+        reg = Regulator(reference_regulator().rulebase, output_resolution=resolution,
+                        zero_mass_policy=ZeroMassPolicy.MIDPOINT)
+        xs = np.linspace(-5, 105, 41)
+        with np.errstate():
+            np.setbufsize(bufsize)
+            got = reg.evaluate_many(xs).tolist()
+            assert got == [reg.evaluate(x).output for x in xs.tolist()]
+            assert np.getbufsize() == bufsize
+
+
 class TestSharedAcrossThreads:
     def test_threads_get_the_serial_results(self):
         ref = reference_regulator()
@@ -618,7 +678,11 @@ class TestSharedAcrossThreads:
 
         def work(i):
             start.wait()
-            return [run(regs[i % 2]) for _ in range(3)]
+            # each thread its own ufunc buffer size, which its sweeps keep
+            with np.errstate():
+                np.setbufsize(1024 * (i + 1))
+                runs = [run(regs[i % 2]) for _ in range(3)]
+                return runs, np.getbufsize()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, mid-kernel
@@ -628,5 +692,6 @@ class TestSharedAcrossThreads:
                 results = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        for i, runs in enumerate(results):
+        for i, (runs, bufsize) in enumerate(results):
             assert all(r == serial[i % 2] for r in runs)
+            assert bufsize == 1024 * (i + 1)
