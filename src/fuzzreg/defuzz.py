@@ -10,30 +10,28 @@ from .membership import FuzzySet, Universe, _instance
 _TINY = 5e-324
 
 
-def cog_rows(
-    universe: Universe, grades: np.ndarray, products: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def cog_rows(universe: Universe, mass: np.ndarray, products: np.ndarray) -> np.ndarray:
     """Center of gravity of every row of an ``(n, universe.n)`` grade matrix.
 
-    Returns ``(mass, y)``: each row's grade sum, and its crisp value
-    ``min + span * sum(t[i] * mu[i]) / sum(mu[i])``, where ``t`` are the
-    universe's sample offsets in ``[0, 1]``: both sums stay within the
-    grade range, so no magnitude of the universe overflows them. ``y`` is
-    ``min`` where the mass is zero. ``products``, C-contiguous, is
-    ``grades * universe.offsets``, which the caller computes. Each row is
-    summed on its own (numpy's pairwise sum of a contiguous row), so a
-    row's result does not depend on the other rows.
+    The caller passes each row's grade sum ``mass`` and ``products``, the
+    rows times ``universe.offsets``, C-contiguous. The result is each row's
+    crisp value ``min + span * sum(t[i] * mu[i]) / sum(mu[i])``, where ``t``
+    are the universe's sample offsets in ``[0, 1]``: both sums stay within
+    the grade range, so no magnitude of the universe overflows them. It is
+    ``min`` where the mass is zero. Each row is summed on its own (numpy's
+    pairwise sum of a contiguous row), so a row's result does not depend
+    on the other rows.
     """
-    mass = grades.sum(axis=1)
     moment = products.sum(axis=1)
     # grades are >= 0, so a zero mass has a zero moment; the smallest
     # double is below every positive mass, so only those rows change
     y = np.divide(moment, np.maximum(mass, _TINY), out=moment)
     y *= universe.span
     y += universe.min
-    # rounding must not push the result past the end samples
-    np.maximum(y, universe.min, out=y)
-    return mass, np.minimum(y, universe.max, out=y)
+    # Rounding may push the result past max, never below min: the ratio is
+    # >= 0 (or -0.0), and rounding is monotone, so fl(r * span) >= 0 and
+    # fl(min + fl(r * span)) >= fl(min + 0) = min.
+    return np.minimum(y, universe.max, out=y)
 
 
 def _cog_vector(universe: Universe, grades: np.ndarray) -> tuple[float, float]:
@@ -48,7 +46,8 @@ def _cog_vector(universe: Universe, grades: np.ndarray) -> tuple[float, float]:
     mass = float(np.add.reduce(grades))
     moment = float(np.add.reduce(grades * universe.offsets))
     y = moment / max(mass, _TINY) * universe.span + universe.min
-    return mass, min(max(y, universe.min), universe.max)
+    # never below min, as cog_rows argues
+    return mass, min(y, universe.max)
 
 
 def defuzz_cog(fset: FuzzySet) -> float:

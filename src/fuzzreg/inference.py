@@ -39,6 +39,16 @@ class FuzzyRelation(_Rebuilt):
             raise ValidationError(f"relation must be a 2-D matrix, got shape {e.shape}")
         object.__setattr__(self, "entries", e)
 
+    @classmethod
+    def _trusted(cls, entries: np.ndarray) -> FuzzyRelation:
+        """Wrap a matrix the library computed itself, 2-D with at least one
+        row and one column and inside ``[0, 1]`` by construction: no copy,
+        no check, as ``FuzzySet._trusted``."""
+        relation = object.__new__(cls)
+        entries.setflags(write=False)
+        relation.__dict__.update(entries=entries)
+        return relation
+
     @property
     def rows(self) -> int:
         return self.entries.shape[0]
@@ -50,9 +60,9 @@ class FuzzyRelation(_Rebuilt):
 
 def build_relation(antecedent, consequent) -> FuzzyRelation:
     """Encode one rule "IF A THEN B" as entries[i][j] = min(a[i], b[j])."""
-    a = _grades(antecedent)
-    b = _grades(consequent)
-    return FuzzyRelation(np.minimum.outer(a, b))
+    entries = np.minimum.outer(_grades(antecedent), _grades(consequent))
+    # an empty vector makes an empty matrix, which the checked form rejects
+    return FuzzyRelation._trusted(entries) if entries.size else FuzzyRelation(entries)
 
 
 def cri(relation, activation) -> np.ndarray:
@@ -81,7 +91,7 @@ def union(a, b):
     if isinstance(a, FuzzySet) and isinstance(b, FuzzySet):
         if a.universe != b.universe:
             raise DimensionMismatch("cannot union fuzzy sets on different universes")
-        return FuzzySet(a.universe, np.maximum(a.grades, b.grades))
+        return FuzzySet._trusted(a.universe, np.maximum(a.grades, b.grades))
     ga = _grades(a)
     gb = _grades(b)
     if ga.shape != gb.shape:
@@ -172,4 +182,4 @@ def infer(
     for rule in rulebase.rules:
         clipped = np.minimum(acts[rule.antecedent], consequents[rule.consequent].grades)
         np.maximum(aggregated, clipped, out=aggregated)
-    return FuzzySet(universe, aggregated)
+    return FuzzySet._trusted(universe, aggregated)

@@ -167,7 +167,7 @@ class Universe(_Rebuilt):
     def __post_init__(self) -> None:
         # + 0.0 stores a -0.0 bound as 0.0: numpy's maximum and minimum
         # may return either zero on a tie, Python's max and min the first,
-        # and the two forms of center of gravity clamp to these bounds
+        # and the two forms of center of gravity clamp to max
         object.__setattr__(self, "min", _real(self.min, "universe min", InvalidUniverse) + 0.0)
         object.__setattr__(self, "max", _real(self.max, "universe max", InvalidUniverse) + 0.0)
         object.__setattr__(self, "n", _count(self.n, "sample count", 2, InvalidUniverse))
@@ -586,8 +586,9 @@ def discretize(mf: MembershipFunction, universe: Universe) -> FuzzySet:
     """Sample a membership function over a universe's points."""
     _instance(mf, MembershipFunction, "discretize shape")
     _instance(universe, Universe, "discretize universe")
-    # the base method, since the library never calls a shape's own sample
-    return FuzzySet(universe, MembershipFunction.sample(mf, universe.points))
+    # the base method, since the library never calls a shape's own sample;
+    # it grades a shape that is not a built-in one through _checked
+    return FuzzySet._trusted(universe, MembershipFunction.sample(mf, universe.points))
 
 
 def singleton_fuzzify(x0: float, var: LinguisticVariable) -> np.ndarray:

@@ -155,9 +155,9 @@ class Regulator(_Rebuilt):
             np.maximum(strengths[c], activations[a], out=strengths[c])
         return strengths
 
-    def _clip_max(self, strengths: np.ndarray, agg: np.ndarray, tmp: np.ndarray) -> None:
+    def _clip_max(self, strengths: np.ndarray, agg: np.ndarray, tmp: np.ndarray) -> tuple[int, int]:
         """Max-union into ``agg`` of every consequent clipped at its firing
-        strength.
+        strength, and the hull ``(c0, c1)`` of the columns it wrote.
 
         ``strengths`` comes from :meth:`_strengths`: clipping each term once
         at its largest activation gives the same union as one clip per rule,
@@ -165,17 +165,30 @@ class Regulator(_Rebuilt):
         ``tmp`` are inputs x samples. A term is clipped only over the inputs
         where it fires and the columns where its consequent is non-zero:
         elsewhere the clip is zero, and max with zero leaves the
-        non-negative aggregate unchanged. Every step is an exact min or max,
-        so no order of steps changes a bit.
+        non-negative aggregate unchanged. So ``agg`` is zero outside the
+        hull, the union of the fired terms' spans. Every step is an exact
+        min or max, so no order of steps changes a bit. The first clip goes
+        straight into the zeros, as in :meth:`evaluate`: it may differ
+        from their max only in the sign of a zero grade, which no sum of a
+        row with a positive grade sees.
         """
         matrix = self._matrix
+        h0, h1 = agg.shape[1], 0
         for j in np.flatnonzero(strengths.any(axis=1)).tolist():
             c0, c1 = self._spans[j]
+            if not c1:  # zero at every sample: its clip is zero
+                continue
             fires = np.flatnonzero(strengths[j])
             r0, r1 = int(fires[0]), int(fires[-1]) + 1
-            clipped = tmp[r0:r1, c0:c1]
-            np.minimum(strengths[j, r0:r1, None], matrix[j, c0:c1], out=clipped)
-            np.maximum(agg[r0:r1, c0:c1], clipped, out=agg[r0:r1, c0:c1])
+            window = agg[r0:r1, c0:c1]
+            if h1:
+                clipped = tmp[r0:r1, c0:c1]
+                np.minimum(strengths[j, r0:r1, None], matrix[j, c0:c1], out=clipped)
+                np.maximum(window, clipped, out=window)
+            else:  # the first clip, into zeros: max with zero is the clip
+                np.minimum(strengths[j, r0:r1, None], matrix[j, c0:c1], out=window)
+            h0, h1 = min(h0, c0), max(h1, c1)
+        return h0, h1
 
     def _zero_mass(self, fired: bool, at: float | None = None) -> float:
         """The output of an all-zero aggregate by the zero-mass policy, or
@@ -230,22 +243,28 @@ class Regulator(_Rebuilt):
         ``evaluate(x).output`` for each ``x``.
 
         Each input follows ``evaluate``'s number rule and is clamped to the
-        input universe; where the aggregate is all zero, the zero-mass
-        policy applies, and the error names that input. Work runs
-        in chunks of inputs, with scratch buffers of about
+        input universe. An input that fires no term with a positive sample
+        has an all-zero aggregate, and any other a positive mass, since a
+        sum of non-negative doubles is at least its largest term. So the
+        zero-mass policy is applied from the strengths alone (the error
+        names the first such input), and only the other inputs are packed
+        into chunks of rows, with scratch buffers of about
         ``membership.CHUNK_ELEMENTS`` doubles each, allocated once per call:
-        memory stays bounded however many inputs there are.
+        memory stays bounded however many inputs there are. The aggregate
+        rows stay zero between chunks: a chunk scales them by the sample
+        offsets in place, then clears them, only over the hull of the
+        columns its clip wrote. Outside it they are ``+0.0``, as ``grades *
+        offsets`` is, so the sums still run over full rows of the same values.
 
-        The clip, the max and the center of gravity's products run with
-        numpy's ufunc buffer at its smallest, so that numpy does not copy
-        their windows of short rows through the buffer. They are
-        elementwise and none casts, so no bit changes. ``np.errstate()``
-        scopes the setting: the caller's size comes back on exit, an error
-        included, and other threads and tasks never see it. Everything
-        else runs under the caller's setting: grading the inputs, which may
-        call a user shape's ``__call__``, and the center of gravity's sums.
-        Before numpy 2.3 a sum runs in blocks of the buffer size, so these
-        must run under the size that ``evaluate``'s sums run under.
+        The clip, the max and the scaling run with numpy's ufunc buffer at
+        its smallest, so that numpy does not copy their windows of short
+        rows through the buffer; they are elementwise and none casts, so no
+        bit changes. ``np.errstate()`` scopes the setting: the caller's size
+        comes back on exit, an error included, and other threads and tasks
+        never see it. Grading the inputs, which may call a user shape's
+        ``__call__``, and the center of gravity's two sums run under the
+        caller's size: before numpy 2.3 a sum runs in blocks of the buffer
+        size, so these must run under the size ``evaluate``'s sums run under.
         """
         xs = _number_array(xs, "crisp input", NonFiniteInput)
         if xs.ndim != 1:
@@ -258,24 +277,39 @@ class Regulator(_Rebuilt):
         # activations and strengths of many inputs at once, so that the
         # per-call cost of the shapes' array forms is shared
         block = max(rows, chunk // max(len(self._matrix), len(in_var.terms)))
+        # an input is live when it fires a term with a positive sample:
+        # every term, as a view, unless some term's span is (0, 0)
+        positive = [j for j, (_, c1) in enumerate(self._spans) if c1]
+        if len(positive) == len(self._spans):
+            positive = slice(None)
+        # zero, and kept zero between chunks; filled, not np.zeros, since a
+        # fresh calloc'd page that the sums read before a clip writes it
+        # faults twice
         agg = np.empty((rows, universe.n))
+        agg.fill(0.0)
         tmp = np.empty((rows, universe.n))
         for b0 in range(0, xs.shape[0], block):
             strengths = self._strengths(in_var._grade(clamped[b0:b0 + block]))
+            out = outputs[b0:b0 + strengths.shape[1]]
+            live = strengths[positive].any(axis=0)
+            if not live.all():
+                i = int(np.argmin(live))
+                out[~live] = self._zero_mass(strengths[:, i].any(), float(xs[b0 + i]))
+                strengths = strengths[:, live]
+            where = np.flatnonzero(live)
             for r0 in range(0, strengths.shape[1], rows):
                 w = strengths[:, r0:r0 + rows]
                 n = w.shape[1]
-                agg[:n] = 0.0
                 with np.errstate():
                     np.setbufsize(_SWEEP_BUFSIZE)
-                    self._clip_max(w, agg[:n], tmp[:n])
-                    np.multiply(agg[:n], universe.offsets, out=tmp[:n])
-                mass, y = cog_rows(universe, agg[:n], tmp[:n])
-                empty = mass == 0.0
-                if empty.any():
-                    i = int(np.argmax(empty))
-                    y[empty] = self._zero_mass(w[:, i].any(), float(xs[b0 + r0 + i]))
-                outputs[b0 + r0:b0 + r0 + n] = y
+                    c0, c1 = self._clip_max(w, agg[:n], tmp[:n])
+                hull = agg[:n, c0:c1]
+                mass = agg[:n].sum(axis=1)
+                with np.errstate():
+                    np.setbufsize(_SWEEP_BUFSIZE)
+                    np.multiply(hull, universe.offsets[c0:c1], out=hull)
+                out[where[r0:r0 + n]] = cog_rows(universe, mass, agg[:n])
+                hull[...] = 0.0
         return outputs
 
     def sweep(self, steps: int) -> list[tuple[float, float]]:

@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fuzzreg import (
     FuzzySet,
+    Gaussian,
+    LinguisticTerm,
+    LinguisticVariable,
+    Regulator,
+    Rule,
+    RuleBase,
     SShoulder,
     Trapezoidal,
     Triangular,
@@ -125,7 +131,8 @@ class TestOneVectorForm:
         u = Universe(*bounds, data.draw(st.integers(2, 600)))
         grades = data.draw(grade_vectors(u.n))
         rows = grades[None]
-        mass, y = cog_rows(u, rows, rows * u.offsets)
+        mass = rows.sum(axis=1)
+        y = cog_rows(u, mass, rows * u.offsets)
         assert bits(*_cog_vector(u, grades)) == bits(mass[0], y[0])
 
     @pytest.mark.parametrize("n", [8193, 65537])
@@ -134,9 +141,64 @@ class TestOneVectorForm:
         u = Universe(*bounds, n)
         rows = np.random.default_rng(n).random((3, n))
         rows[1, : n // 2] = 0.0
-        mass, y = cog_rows(u, rows, rows * u.offsets)
+        mass = rows.sum(axis=1)
+        y = cog_rows(u, mass, rows * u.offsets)
         for i, grades in enumerate(rows):
             assert bits(*_cog_vector(u, grades)) == bits(mass[i], y[i])
+
+
+def one_rule_regulator(universe, consequent):
+    """One input term, fully on at 0.5, concluding ``consequent`` on
+    ``universe``: the aggregate at 0.5 is the consequent's samples."""
+    vin = LinguisticVariable("in", Universe(0, 1, 11), (LinguisticTerm("on", Triangular(0, 0.5, 1)),))
+    vout = LinguisticVariable("out", universe, (LinguisticTerm("c", consequent),))
+    return Regulator(RuleBase(vin, vout, (Rule(0, 0),)))
+
+
+class TestEnds:
+    """Center of gravity at the ends of the universe and at the bottom of
+    the double range, in every form: ``evaluate``, ``evaluate_many``,
+    ``defuzz_cog`` and ``cog_rows``."""
+
+    @given(bounds=st.sampled_from(BOUNDS), zero=st.sampled_from([0.0, -0.0]), data=st.data())
+    @settings(max_examples=300)
+    def test_never_below_min_without_a_clamp(self, bounds, zero, data):
+        # only max is clamped, and max > min, so the result is below min
+        # exactly when the unclamped min + r * span is: r >= 0 and rounding
+        # is monotone, so it never is, at any magnitude or sign of zero
+        u = Universe(*bounds, data.draw(st.integers(2, 600)))
+        grades = data.draw(grade_vectors(u.n))
+        grades[grades == 0.0] = zero
+        rows = grades[None]
+        assert cog_rows(u, rows.sum(axis=1), rows * u.offsets)[0] >= u.min
+        assert _cog_vector(u, grades)[1] >= u.min
+
+    def test_rounding_past_max_is_clamped(self):
+        # min + span rounds above max on this universe, so a set positive
+        # at the last sample alone lands on max only through the clamp
+        u = Universe(-6.486944333361304, 11.695460766780231, 11)
+        assert u.min + u.span > u.max
+        top = SShoulder(u.points[-2], u.max)
+        assert discretize(top, u).grades.tolist() == [0.0] * 10 + [1.0]
+        reg = one_rule_regulator(u, top)
+        assert reg.evaluate(0.5).output == u.max
+        assert reg.evaluate_many([0.5]).tolist() == [u.max]
+        assert defuzz_cog(discretize(top, u)) == u.max
+
+    def test_subnormal_mass(self):
+        # every grade is subnormal and the mass about 1.7e-310, so the
+        # divide must floor the mass below it. Subnormals keep only 37 to
+        # 44 significant bits, so the result is a few thousand ulps from
+        # the exact centroid; a floor of 1e-300 would give about 4e-12
+        u = Universe(0, 1, 101)
+        far = Gaussian(-37.8, 1.0)
+        reg = one_rule_regulator(u, far)
+        trace = reg.evaluate(0.5)
+        grades = trace.aggregated.grades
+        assert 0.0 < grades.sum() < 1e-300
+        assert trace.output == pytest.approx(cog_oracle(u.points, grades), rel=1e-9)
+        assert reg.evaluate_many([0.5]).tolist() == [trace.output]
+        assert defuzz_cog(discretize(far, u)) == trace.output
 
 
 def continuous_centroid(mf, lo, hi):

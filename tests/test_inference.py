@@ -1,5 +1,6 @@
 """Implication matrices, max-min composition, union and rule aggregation."""
 
+import pickle
 import re
 
 import numpy as np
@@ -81,6 +82,19 @@ class TestBuildRelation:
     def test_rows_cols(self):
         r = build_relation(AP, [0.0, 1.0])
         assert (r.rows, r.cols) == (5, 2)
+
+    def test_result_is_read_only_and_equals_the_checked_form(self):
+        r = build_relation(AP, B)
+        assert not r.entries.flags.writeable
+        assert r == FuzzyRelation(r.entries) == pickle.loads(pickle.dumps(r))
+
+    @pytest.mark.parametrize("a, b", [([], B), (AP, [])], ids=["antecedent", "consequent"])
+    def test_an_empty_vector_is_the_relations_error(self, a, b):
+        # build_relation skips the relation's checks only for a matrix that
+        # passes them
+        shape = re.escape(str((len(a), len(b))))
+        with pytest.raises(ValidationError, match=f"^relation must be a 2-D matrix, got shape {shape}$"):
+            build_relation(a, b)
 
 
 class TestCri:
@@ -174,6 +188,7 @@ class TestUnion:
         assert isinstance(out, FuzzySet)
         assert out.universe == u
         assert out.grades.tolist() == [0.3, 0.2, 0.3]
+        assert not out.grades.flags.writeable
 
     def test_universe_mismatch_rejected(self):
         a = FuzzySet(Universe(0, 1, 3), [0.1, 0.2, 0.3])
@@ -243,6 +258,7 @@ class TestInfer:
     def test_single_full_activation_recovers_consequent(self):
         rb, cons = self._setup()
         assert infer(rb, [1.0, 0.0], cons) == cons[1]
+        assert not infer(rb, [1.0, 0.0], cons).grades.flags.writeable
         assert infer(rb, [0.0, 1.0], cons) == cons[0]
 
     def test_partial_activations_union_clipped_sets(self):

@@ -9,6 +9,7 @@ the one thing ``==`` does not see, and nothing downstream depends on it.
 
 import contextlib
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -45,7 +46,6 @@ from fuzzreg import (
 )
 from fuzzreg import membership as membership_module
 from fuzzreg import regulator
-from fuzzreg.defuzz import cog_rows
 from fuzzreg.membership import _SHAPE_CLASSES, MAX_SAMPLES
 from fuzzreg.plotdata import _csv
 from test_robustness import TestUserDefinedShapes as UserDefinedShapes
@@ -307,6 +307,61 @@ class TestEvaluateMany:
             for x in (0.0, 0.7, 33.0, 61.5, 100.0):
                 trace = reg.evaluate(x)
                 assert defuzz_cog(trace.aggregated) == trace.output
+
+
+def hull_regulator(policy, resolution):
+    """Three rules with gaps between them: below 20 a wide consequent
+    fires, from 40 to 60 a narrow one, and from 80 to 100 only a term that
+    is zero at every output sample; elsewhere nothing fires."""
+    vin = LinguisticVariable("in", Universe(0, 100, 101), (
+        LinguisticTerm("low", Triangular(0, 0, 20)),
+        LinguisticTerm("mid", Triangular(40, 50, 60)),
+        LinguisticTerm("high", Triangular(80, 90, 100)),
+    ))
+    vout = LinguisticVariable("out", Universe(0, 1, 11), (
+        LinguisticTerm("wide", Trapezoidal(0.05, 0.2, 0.8, 0.95)),
+        LinguisticTerm("narrow", Triangular(0.6, 0.65, 0.7)),
+        LinguisticTerm("blind", Triangular(1e-7, 2e-7, 3e-7)),  # between samples
+    ))
+    rules = (Rule(0, 0), Rule(1, 1), Rule(2, 2))
+    return Regulator(RuleBase(vin, vout, rules), output_resolution=resolution,
+                     zero_mass_policy=policy)
+
+
+class TestWorkFollowsWhatFires:
+    """``evaluate_many`` applies the zero-mass policy to the inputs that
+    fire no term with a positive sample before any row work, packs the
+    others into chunks, and keeps its aggregate rows zero between chunks
+    by clearing the hull of the columns each chunk wrote."""
+
+    # In chunks of four inputs: four that fire the wide term, four dead
+    # ones (30 and 35 fire nothing, 90 and 95 only the blind term), then
+    # the narrow term with dead inputs between its inputs, and a mixed
+    # chunk last. Packed, the live inputs make a wide, a narrow and a
+    # mixed hull in turn.
+    XS = [5.0, 10.0, 15.0, 18.0, 30.0, 90.0, 35.0, 95.0,
+          45.0, 30.0, 50.0, 90.0, 55.0, 58.0, 10.0, 45.0, 70.0]
+
+    @pytest.mark.parametrize("resolution", [101, 2001, 65537])
+    def test_equals_evaluate_bit_for_bit(self, resolution):
+        reg = hull_regulator(ZeroMassPolicy.MIDPOINT, resolution)
+        xs = np.array(self.XS)
+        traces = [reg.evaluate(x) for x in self.XS]
+        assert sum(t.zero_mass_fallback for t in traces) == 7
+        want = [t.output for t in traces]
+        assert reg.evaluate_many(xs).tolist() == want
+        with chunk_budget(4 * resolution):
+            assert reg.evaluate_many(xs).tolist() == want
+
+    @pytest.mark.parametrize("budget", [None, 8])  # 8: blocks of two inputs
+    def test_zero_mass_names_the_first_dead_input(self, budget):
+        reg = hull_regulator(ZeroMassPolicy.ERROR, 101)
+        cases = [([5.0, 45.0, 30.0, 90.0], f"at input 30.0: {regulator._NO_RULE}"),
+                 ([5.0, 45.0, 90.0, 30.0], f"at input 90.0: {regulator._NO_SAMPLE}")]
+        with chunk_budget(budget or membership_module.CHUNK_ELEMENTS):
+            for xs, message in cases:
+                with pytest.raises(ZeroMass, match=f"^{re.escape(message)}$"):
+                    reg.evaluate_many(xs)
 
 
 def gap_regulator(policy):
@@ -608,8 +663,8 @@ class TestPaperPath:
 class TestUfuncBufferScope:
     """``evaluate_many`` runs its clip, max and COG products with numpy's
     ufunc buffer at its smallest, inside ``np.errstate()``: the caller's
-    size comes back on every exit, user code and the COG's sums run under
-    it, and no bit moves."""
+    size comes back on every exit, user code and the COG's two sums run
+    under it, and no bit moves."""
 
     def test_buffer_size_is_restored_on_return_and_on_zero_mass(self):
         before = np.getbufsize()
@@ -637,18 +692,33 @@ class TestUfuncBufferScope:
 
     def test_cog_sums_run_under_the_callers_buffer_size(self, monkeypatch):
         # before numpy 2.3 a sum runs in blocks of the buffer size, so
-        # evaluate_many must sum under the size evaluate sums under
+        # evaluate_many must sum under the size evaluate sums under: both
+        # sums, the mass and the moment, of every chunk of aggregate rows
         seen = []
 
-        def recording(*args):
-            seen.append(np.getbufsize())
-            return cog_rows(*args)
+        class Rows(np.ndarray):
+            def sum(self, *args, **kwargs):
+                seen.append(np.getbufsize())
+                return super().sum(*args, **kwargs)
 
-        monkeypatch.setattr(regulator, "cog_rows", recording)
-        with np.errstate():
+        class Numpy:
+            """The regulator module's numpy, whose new arrays are ``Rows``."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(*args, **kwargs):
+                return np.empty(*args, **kwargs).view(Rows)
+
+        reg = reference_regulator()
+        xs = np.linspace(-5, 105, 50)
+        want = reg.evaluate_many(xs).tolist()
+        monkeypatch.setattr(regulator, "np", Numpy())
+        with chunk_budget(10 * reg.output_resolution), np.errstate():  # 5 chunks of 10 rows
             np.setbufsize(4096)
-            reference_regulator().evaluate_many(np.linspace(-5, 105, 50))
-        assert seen and set(seen) == {4096}
+            assert reg.evaluate_many(xs).tolist() == want
+        assert seen == [4096] * 10
 
     @pytest.mark.parametrize("bufsize", [16, 8192, 65536])
     @pytest.mark.parametrize("resolution", [2, 17, 2001, 8193, 65537])

@@ -345,6 +345,11 @@ class TestDiscretize:
         fs = discretize(Triangular(200, 250, 300), Universe(0, 100, 5))
         assert not fs.grades.any()
 
+    def test_result_is_read_only_and_equals_the_checked_set(self):
+        u = Universe(0, 100, 5)
+        fs = discretize(Triangular(0, 50, 100), u)
+        assert not fs.grades.flags.writeable and fs == FuzzySet(u, fs.grades)
+
     @given(mf=membership_functions(), n=st.integers(2, 60))
     def test_matches_pointwise_evaluation(self, mf, n):
         u = Universe(-1e3, 1e3, n)

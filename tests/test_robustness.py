@@ -223,7 +223,7 @@ class TestExtremeMagnitudes:
             make(-1e308, 1e308)
 
     def test_negative_zero_bounds_are_stored_as_zero(self):
-        # center of gravity clamps to the bounds, with numpy in cog_rows and
+        # center of gravity clamps to max, with numpy in cog_rows and
         # with Python floats for one vector, which break a 0.0/-0.0 tie apart
         u = Universe(-3.5, -0.0, 5)
         v = Universe(-0.0, 1.0, 5)
