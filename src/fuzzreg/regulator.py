@@ -96,10 +96,13 @@ class Regulator(_Rebuilt):
     Construction compiles the rule base: every consequent term is sampled
     once into one terms x samples matrix over an output universe resampled
     at ``output_resolution`` points (defaulting to the output variable's own
-    sample count). :meth:`evaluate`, :meth:`evaluate_many` and :meth:`sweep`
-    all run the same clip, max and center-of-gravity kernel on it, so they
-    agree bit for bit. Evaluation is pure and keeps its scratch space per
-    call, so one regulator may serve any number of threads.
+    sample count). A rule onto a term that is zero at every output sample
+    cannot move the output, so it is left out of the compiled rule base; it
+    only chooses the message of a ``ZeroMass`` error. :meth:`evaluate`,
+    :meth:`evaluate_many` and :meth:`sweep` all run the same clip, max and
+    center-of-gravity kernel on the matrix, so they agree bit for bit.
+    Evaluation is pure and keeps its scratch space per call, so one
+    regulator may serve any number of threads.
     """
 
     rulebase: RuleBase
@@ -120,17 +123,24 @@ class Regulator(_Rebuilt):
         universe = Universe(out_var.universe.min, out_var.universe.max, self.output_resolution)
         consequents = out_var._grade(universe.points)
         consequents.setflags(write=False)
-        spans = []
+        # A term is live when its row has a positive sample; its span runs
+        # from its first positive sample to just past its last. A live term
+        # fired at strength s > 0 clips to min(s, m_k) > 0 at a positive
+        # sample k, and a sum of non-negative doubles is at least its
+        # largest term, so an input has a positive mass exactly when a rule
+        # onto a live term fires: only those rules are compiled.
+        live, spans = [], []
         for row in consequents:
             positive = row > 0.0
             first = int(positive.argmax())
-            last = universe.n - int(positive[::-1].argmax())
-            spans.append((first, last) if positive[first] else (0, 0))
-        rules = self.rulebase.rules
+            live.append(bool(positive[first]))
+            spans.append((first, universe.n - int(positive[::-1].argmax())))
+        pairs = [(r.antecedent, r.consequent) for r in self.rulebase.rules]
         object.__setattr__(self, "output_universe", universe)
         object.__setattr__(self, "_matrix", consequents)
         object.__setattr__(self, "_spans", tuple(spans))
-        object.__setattr__(self, "_rule_pairs", tuple((r.antecedent, r.consequent) for r in rules))
+        object.__setattr__(self, "_rule_pairs", tuple((a, c) for a, c in pairs if live[c]))
+        object.__setattr__(self, "_silent", tuple(a for a, c in pairs if not live[c]))
         object.__setattr__(
             self,
             "consequent_sets",
@@ -147,8 +157,8 @@ class Regulator(_Rebuilt):
 
     def _strengths(self, activations: np.ndarray) -> np.ndarray:
         """Firing strength of every output term, output terms x inputs: the
-        largest activation, among the rules that conclude the term, of the
-        rule's antecedent in ``activations`` (input terms x inputs)."""
+        largest activation, among the compiled rules that conclude the term,
+        of the rule's antecedent in ``activations`` (input terms x inputs)."""
         strengths = np.zeros((len(self._matrix), activations.shape[1]))
         # max is exact, so the order of the rules does not change a bit
         for a, c in self._rule_pairs:
@@ -159,25 +169,24 @@ class Regulator(_Rebuilt):
         """Max-union into ``agg`` of every consequent clipped at its firing
         strength, and the hull ``(c0, c1)`` of the columns it wrote.
 
-        ``strengths`` comes from :meth:`_strengths`: clipping each term once
-        at its largest activation gives the same union as one clip per rule,
-        because min distributes over max. ``agg`` (zeroed by the caller) and
-        ``tmp`` are inputs x samples. A term is clipped only over the inputs
-        where it fires and the columns where its consequent is non-zero:
-        elsewhere the clip is zero, and max with zero leaves the
-        non-negative aggregate unchanged. So ``agg`` is zero outside the
-        hull, the union of the fired terms' spans. Every step is an exact
-        min or max, so no order of steps changes a bit. The first clip goes
-        straight into the zeros, as in :meth:`evaluate`: it may differ
-        from their max only in the sign of a zero grade, which no sum of a
-        row with a positive grade sees.
+        ``strengths`` comes from :meth:`_strengths`, so only live terms fire
+        in it: clipping each term once at its largest activation gives the
+        same union as one clip per rule, because min distributes over max.
+        ``agg`` (zeroed by the caller) and ``tmp`` are inputs x samples. A
+        term is clipped only over the inputs where it fires and the columns
+        of its span, from its first positive sample to its last: elsewhere
+        the clip is zero, and max with zero leaves the non-negative
+        aggregate unchanged. So ``agg`` is zero outside the hull, the union
+        of the fired terms' spans. Every step is an exact min or max, so no
+        order of steps changes a bit. The first clip goes straight into the
+        zeros, as in :meth:`evaluate`: it may differ from their max only in
+        the sign of a zero grade, which no sum of a row with a positive
+        grade sees.
         """
         matrix = self._matrix
         h0, h1 = agg.shape[1], 0
         for j in np.flatnonzero(strengths.any(axis=1)).tolist():
             c0, c1 = self._spans[j]
-            if not c1:  # zero at every sample: its clip is zero
-                continue
             fires = np.flatnonzero(strengths[j])
             r0, r1 = int(fires[0]), int(fires[-1]) + 1
             window = agg[r0:r1, c0:c1]
@@ -190,22 +199,26 @@ class Regulator(_Rebuilt):
             h0, h1 = min(h0, c0), max(h1, c1)
         return h0, h1
 
-    def _zero_mass(self, fired: bool, at: float | None = None) -> float:
-        """The output of an all-zero aggregate by the zero-mass policy, or
-        ``ZeroMass`` saying whether a rule ``fired``, at input ``at``."""
+    def _zero_mass(self, grades, at: float | None = None) -> float:
+        """The output of an input that fires no compiled rule, by the
+        zero-mass policy, or ``ZeroMass`` at input ``at``. The input's term
+        ``grades`` choose the message: whether a rule onto a term that is
+        zero at every output sample fired."""
         if self.zero_mass_policy is ZeroMassPolicy.ERROR:
-            why = _NO_SAMPLE if fired else _NO_RULE
+            why = _NO_SAMPLE if any(grades[a] for a in self._silent) else _NO_RULE
             raise ZeroMass(why if at is None else f"at input {at}: {why}")
         return self.output_universe.midpoint
 
     def evaluate(self, x0: float) -> EvalTrace:
         """Run the full pipeline for one crisp input and keep every stage.
 
-        Out-of-range inputs are clamped to the input universe. When no rule
-        fires, the behavior follows the zero-mass policy. The result equals
-        :meth:`evaluate_many`'s bit for bit: the strengths are the same
-        exact maxima, the clip the same exact minima and maxima, and the
-        center of gravity ``defuzz_cog``'s form of the same sums.
+        Out-of-range inputs are clamped to the input universe. When no
+        compiled rule fires, the aggregate is all zero and the output
+        follows the zero-mass policy, with no clip and no center of
+        gravity. The result equals :meth:`evaluate_many`'s bit for bit: the
+        strengths are the same exact maxima, the clip the same exact minima
+        and maxima, and the center of gravity ``defuzz_cog``'s form of the
+        same sums.
         """
         x, clamped, grades = self.rulebase.input_var._fuzzify(x0)
         # each term's strength as _strengths takes it, and the terms that fire
@@ -218,24 +231,23 @@ class Regulator(_Rebuilt):
                 strengths[c] = grades[a]
         matrix = self._matrix
         universe = self.output_universe
-        # Only the terms that fire are clipped: one that does not clips to
-        # zeros, which leave the max unchanged. The aggregate starts as the
-        # first fired term's clip (term 0's at strength 0, all zeros, when
-        # none fires) and each other fired term's clip is maxed into it:
-        # 2k - 1 ufunc calls and two rows of scratch. Adjacent input terms
-        # cross, so k is one or two on most inputs; inputs that fire many
-        # terms, as gaussians do, pay two calls a term. Every step is an
-        # exact min or max.
-        j = fired[0] if fired else 0
-        agg = np.minimum(strengths[j], matrix[j])
-        for j in fired[1:]:
-            np.maximum(agg, np.minimum(strengths[j], matrix[j]), out=agg)
-        mass, output = _cog_vector(universe, agg)
-        fallback = mass == 0.0
-        if fallback:
-            output = self._zero_mass(bool(fired))
+        if fired:
+            # Only the terms that fire are clipped: one that does not clips
+            # to zeros, which leave the max unchanged. The aggregate starts
+            # as the first fired term's clip and each other fired term's
+            # clip is maxed into it: 2k - 1 ufunc calls and two rows of
+            # scratch. Adjacent input terms cross, so k is one or two on
+            # most inputs; inputs that fire many terms, as gaussians do,
+            # pay two calls a term. Every step is an exact min or max.
+            agg = np.minimum(strengths[fired[0]], matrix[fired[0]])
+            for j in fired[1:]:
+                np.maximum(agg, np.minimum(strengths[j], matrix[j]), out=agg)
+            output = _cog_vector(universe, agg)
+        else:
+            agg = np.zeros(universe.n)
+            output = self._zero_mass(grades)
         return EvalTrace._trusted(
-            x, clamped, np.array(grades), FuzzySet._trusted(universe, agg), output, fallback
+            x, clamped, np.array(grades), FuzzySet._trusted(universe, agg), output, not fired
         )
 
     def evaluate_many(self, xs) -> np.ndarray:
@@ -243,12 +255,12 @@ class Regulator(_Rebuilt):
         ``evaluate(x).output`` for each ``x``.
 
         Each input follows ``evaluate``'s number rule and is clamped to the
-        input universe. An input that fires no term with a positive sample
-        has an all-zero aggregate, and any other a positive mass, since a
-        sum of non-negative doubles is at least its largest term. So the
-        zero-mass policy is applied from the strengths alone (the error
-        names the first such input), and only the other inputs are packed
-        into chunks of rows, with scratch buffers of about
+        input universe. An input that fires no compiled rule has an all-zero
+        aggregate, and any other a positive mass: a fired term clips to a
+        positive grade at its positive sample, and a sum of non-negative
+        doubles is at least its largest term. So the zero-mass policy is applied from the strengths alone (the
+        error names the first such input), and only the other inputs are
+        packed into chunks of rows, with scratch buffers of about
         ``membership.CHUNK_ELEMENTS`` doubles each, allocated once per call:
         memory stays bounded however many inputs there are. The aggregate
         rows stay zero between chunks: a chunk scales them by the sample
@@ -277,11 +289,6 @@ class Regulator(_Rebuilt):
         # activations and strengths of many inputs at once, so that the
         # per-call cost of the shapes' array forms is shared
         block = max(rows, chunk // max(len(self._matrix), len(in_var.terms)))
-        # an input is live when it fires a term with a positive sample:
-        # every term, as a view, unless some term's span is (0, 0)
-        positive = [j for j, (_, c1) in enumerate(self._spans) if c1]
-        if len(positive) == len(self._spans):
-            positive = slice(None)
         # zero, and kept zero between chunks; filled, not np.zeros, since a
         # fresh calloc'd page that the sums read before a clip writes it
         # faults twice
@@ -289,12 +296,13 @@ class Regulator(_Rebuilt):
         agg.fill(0.0)
         tmp = np.empty((rows, universe.n))
         for b0 in range(0, xs.shape[0], block):
-            strengths = self._strengths(in_var._grade(clamped[b0:b0 + block]))
+            activations = in_var._grade(clamped[b0:b0 + block])
+            strengths = self._strengths(activations)
             out = outputs[b0:b0 + strengths.shape[1]]
-            live = strengths[positive].any(axis=0)
+            live = strengths.any(axis=0)
             if not live.all():
                 i = int(np.argmin(live))
-                out[~live] = self._zero_mass(strengths[:, i].any(), float(xs[b0 + i]))
+                out[~live] = self._zero_mass(activations[:, i], float(xs[b0 + i]))
                 strengths = strengths[:, live]
             where = np.flatnonzero(live)
             for r0 in range(0, strengths.shape[1], rows):

@@ -132,8 +132,13 @@ class TestOneVectorForm:
         grades = data.draw(grade_vectors(u.n))
         rows = grades[None]
         mass = rows.sum(axis=1)
+        if mass[0] == 0.0:
+            # cog_rows takes positive masses only
+            with pytest.raises(ZeroMass, match="^all grades are zero$"):
+                _cog_vector(u, grades)
+            return
         y = cog_rows(u, mass, rows * u.offsets)
-        assert bits(*_cog_vector(u, grades)) == bits(mass[0], y[0])
+        assert bits(np.add.reduce(grades), _cog_vector(u, grades)) == bits(mass[0], y[0])
 
     @pytest.mark.parametrize("n", [8193, 65537])
     @pytest.mark.parametrize("bounds", BOUNDS)
@@ -144,7 +149,7 @@ class TestOneVectorForm:
         mass = rows.sum(axis=1)
         y = cog_rows(u, mass, rows * u.offsets)
         for i, grades in enumerate(rows):
-            assert bits(*_cog_vector(u, grades)) == bits(mass[i], y[i])
+            assert bits(np.add.reduce(grades), _cog_vector(u, grades)) == bits(mass[i], y[i])
 
 
 def one_rule_regulator(universe, consequent):
@@ -169,9 +174,10 @@ class TestEnds:
         u = Universe(*bounds, data.draw(st.integers(2, 600)))
         grades = data.draw(grade_vectors(u.n))
         grades[grades == 0.0] = zero
+        assume(grades.sum() > 0)
         rows = grades[None]
         assert cog_rows(u, rows.sum(axis=1), rows * u.offsets)[0] >= u.min
-        assert _cog_vector(u, grades)[1] >= u.min
+        assert _cog_vector(u, grades) >= u.min
 
     def test_rounding_past_max_is_clamped(self):
         # min + span rounds above max on this universe, so a set positive

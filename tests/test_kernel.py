@@ -25,6 +25,7 @@ from fuzzreg import (
     Gaussian,
     LinguisticTerm,
     LinguisticVariable,
+    MembershipFunction,
     NonFiniteInput,
     Regulator,
     Rule,
@@ -328,6 +329,17 @@ def hull_regulator(policy, resolution):
                      zero_mass_policy=policy)
 
 
+class TwoSpikes(MembershipFunction):
+    """Positive only near 0.6 and near 0.9: a user shape's positive set
+    need not be one interval."""
+
+    def __call__(self, x):
+        return 1.0 if abs(x - 0.6) < 0.01 or abs(x - 0.9) < 0.01 else 0.0
+
+    def support(self):
+        return (0.59, 0.91)
+
+
 class TestWorkFollowsWhatFires:
     """``evaluate_many`` applies the zero-mass policy to the inputs that
     fire no term with a positive sample before any row work, packs the
@@ -353,6 +365,16 @@ class TestWorkFollowsWhatFires:
         with chunk_budget(4 * resolution):
             assert reg.evaluate_many(xs).tolist() == want
 
+    def test_span_runs_from_the_first_positive_sample_to_the_last(self):
+        # positive at samples 6 and 9 of 11 only, so a span that stopped at
+        # a positive sample before the last would drop sample 9
+        vin = LinguisticVariable("in", Universe(0, 1, 11), (LinguisticTerm("on", Triangular(0, 0.5, 1)),))
+        vout = LinguisticVariable("out", Universe(0, 1, 11), (LinguisticTerm("spikes", TwoSpikes()),))
+        reg = Regulator(RuleBase(vin, vout, (Rule(0, 0),)))
+        assert np.flatnonzero(reg.consequent_sets[0].grades).tolist() == [6, 9]
+        xs = [0.3, 0.5, 0.8]
+        assert reg.evaluate_many(xs).tolist() == [reg.evaluate(x).output for x in xs]
+
     @pytest.mark.parametrize("budget", [None, 8])  # 8: blocks of two inputs
     def test_zero_mass_names_the_first_dead_input(self, budget):
         reg = hull_regulator(ZeroMassPolicy.ERROR, 101)
@@ -362,6 +384,87 @@ class TestWorkFollowsWhatFires:
             for xs, message in cases:
                 with pytest.raises(ZeroMass, match=f"^{re.escape(message)}$"):
                     reg.evaluate_many(xs)
+
+
+@st.composite
+def narrow_rule_bases(draw):
+    """Rule bases at output resolutions 3 to 11 whose consequents are
+    narrow triangles, so that some are zero at every output sample, with
+    one such "blind" term always last. Input terms leave gaps, and the
+    last input term drives no rule, so a rule onto the blind term can be
+    added."""
+    out_u = Universe(0.0, 1.0, draw(st.integers(3, 11)))
+    out_terms = []
+    for k in range(draw(st.integers(1, 4))):
+        b = draw(st.floats(0.0, 1.0))
+        w = draw(st.floats(1e-3, 0.05) | st.floats(0.05, 0.5))
+        out_terms.append(LinguisticTerm(f"o{k}", Triangular(b - w, b, b + w)))
+    k = draw(st.integers(0, out_u.n - 2))
+    p0, p1 = out_u.points[k], out_u.points[k + 1]
+    f = draw(st.floats(0.1, 0.4))
+    blind = Triangular(p0 + f * (p1 - p0), p0 + 0.5 * (p1 - p0), p1 - f * (p1 - p0))
+    out_terms.append(LinguisticTerm("blind", blind))
+    in_terms = []
+    for k in range(draw(st.integers(2, 6))):
+        c = draw(st.floats(0.0, 100.0))
+        w = draw(st.floats(1.0, 30.0))
+        in_terms.append(LinguisticTerm(f"i{k}", Triangular(c - w, c, c + w)))
+    vin = LinguisticVariable("in", Universe(0, 100, 101), tuple(in_terms))
+    vout = LinguisticVariable("out", out_u, tuple(out_terms))
+    used = draw(st.lists(st.integers(0, len(in_terms) - 2), min_size=1, unique=True))
+    rules = tuple(Rule(a, draw(st.integers(0, len(out_terms) - 1))) for a in used)
+    return RuleBase(vin, vout, rules)
+
+
+class TestSilentRules:
+    """A rule onto a term that is zero at every output sample cannot move
+    the output, so it is compiled out: the zero-mass fallback holds exactly
+    where no rule onto a live term fires, and the silent rules only choose
+    the ``ZeroMass`` message."""
+
+    @given(rulebase=narrow_rule_bases(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_only_rules_onto_live_terms_move_the_output(self, rulebase, data):
+        xs = data.draw(st.lists(st.floats(-20.0, 120.0), min_size=1, max_size=20))
+        midpoint = Regulator(rulebase, zero_mass_policy=ZeroMassPolicy.MIDPOINT)
+        error = Regulator(rulebase, zero_mass_policy=ZeroMassPolicy.ERROR)
+        live = [fset.grades.max() > 0.0 for fset in midpoint.consequent_sets]
+        assert not live[-1]
+        traces = [midpoint.evaluate(x) for x in xs]
+        outputs = [t.output for t in traces]
+        assert midpoint.evaluate_many(xs).tolist() == outputs
+        dead = []
+        for x, t in zip(xs, traces):
+            fired = [t.activations[r.antecedent] > 0.0 for r in rulebase.rules]
+            fires_live = any(f and live[r.consequent] for f, r in zip(fired, rulebase.rules))
+            assert t.zero_mass_fallback is not fires_live
+            if fires_live:
+                assert t.aggregated.grades.sum() > 0.0
+                assert error.evaluate(x).output == t.output
+            else:
+                assert not t.aggregated.grades.any()
+                assert t.output == midpoint.output_universe.midpoint
+                why = regulator._NO_SAMPLE if any(fired) else regulator._NO_RULE
+                with pytest.raises(ZeroMass, match=f"^{re.escape(why)}$"):
+                    error.evaluate(x)
+                dead.append((x, why))
+        if dead:
+            x, why = dead[0]
+            with pytest.raises(ZeroMass, match=f"^{re.escape(f'at input {x}: {why}')}$"):
+                error.evaluate_many(xs)
+        else:
+            assert error.evaluate_many(xs).tolist() == outputs
+
+        # a rule from the spare input term onto the blind one
+        spare = len(rulebase.input_var.terms) - 1
+        more = RuleBase(rulebase.input_var, rulebase.output_var,
+                        rulebase.rules + (Rule(spare, len(live) - 1),))
+        louder = Regulator(more, zero_mass_policy=ZeroMassPolicy.MIDPOINT)
+        for x, t in zip(xs, traces):
+            u = louder.evaluate(x)
+            assert u.aggregated.grades.tobytes() == t.aggregated.grades.tobytes()
+            assert (u.output, u.zero_mass_fallback) == (t.output, t.zero_mass_fallback)
+        assert louder.evaluate_many(xs).tolist() == outputs
 
 
 def gap_regulator(policy):
